@@ -1,12 +1,25 @@
 """Color-change closure and the exact zero forcing solver.
 
-Black sets are manipulated as integer bitmasks; subsets of fixed size are
-enumerated in colexicographic order (numeric order of masks), so the witness
-the solver reports is the colexicographically least minimum one.
+Black sets are manipulated as integer bitmasks.  The solver works in two
+phases on each connected component:
+
+1. Z by Dijkstra over closed sets (the wavefront algorithm; Brimkov, Fast and
+   Hicks, arXiv:1704.02065).  From close(empty), a step at v buys v and all
+   but one of its white neighbors and takes the closure; v then forces the
+   last one.  The cheapest path to the full set costs Z.
+2. The witness, by a depth-first descent at size Z that picks members from
+   the highest vertex down, each at the lowest position first.  That visits
+   the Z-subsets in colexicographic order (numeric order of masks), so the
+   first forcing one is the colex-least minimum witness.  Two prunes keep the
+   descent short, and both skip only sets that cannot force: a vertex already
+   black in the closure of the higher picks is never picked (the set without
+   it would force at size Z-1), and a branch is dropped when its picks plus
+   every vertex still below it do not force (closure is monotone).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .graphs import Graph
@@ -93,20 +106,6 @@ def is_zero_forcing_set(g: Graph, vertices) -> bool:
     return _close_mask(g.bits, black, full) == full
 
 
-def _subsets_of_size(n: int, k: int):
-    """All k-subsets of 0..n-1 as masks, in colex (ascending numeric) order."""
-    if k == 0:
-        yield 0
-        return
-    s = (1 << k) - 1
-    top = 1 << n
-    while s < top:
-        yield s
-        c = s & -s
-        r = s + c
-        s = (((r ^ s) >> 2) // c) | r
-
-
 def _mask_vertices(mask: int):
     while mask:
         low = mask & -mask
@@ -114,7 +113,7 @@ def _mask_vertices(mask: int):
         mask ^= low
 
 
-def _solve_component(g: Graph, comp, max_size: int, prune: bool):
+def _solve_component(g: Graph, comp, cap: int):
     """Exact Z on one component; returns (z, witness set) or (None, lower bound)."""
     vs = sorted(comp)
     index = {v: i for i, v in enumerate(vs)}
@@ -124,33 +123,78 @@ def _solve_component(g: Graph, comp, max_size: int, prune: bool):
         for u in g.adj[v]:
             bits[index[v]] |= 1 << index[u]
     full = (1 << k) - 1
-    lower = max(1, min(bin(b).count("1") for b in bits))
-    for size in range(lower, min(k, max_size) + 1):
-        for s in _subsets_of_size(k, size):
-            if prune and _redundant(bits, s, full):
+    z = _wavefront(bits, full, cap)
+    if z is None:
+        if cap >= k:
+            raise AssertionError("the full vertex set always forces")
+        return None, min(cap + 1, k)
+    witness = _colex_least(bits, full, z, k, 0)
+    if witness is None:
+        raise AssertionError(f"no witness of size Z={z} found")
+    return z, frozenset(vs[i] for i in _mask_vertices(witness))
+
+
+def _wavefront(bits, full: int, cap: int):
+    """Least cost of a path of steps from close(empty) to the full set, or None
+    if it exceeds cap.  A step at v buys v and all but one of its white
+    neighbors, after which v forces the last one; the cost is what was bought."""
+    closed = [nb | (1 << v) for v, nb in enumerate(bits)]  # N[v]
+    start = _close_mask(bits, 0, full)
+    best = {start: 0}
+    heap = [(0, start)]
+    while heap:
+        cost, s = heapq.heappop(heap)
+        if s == full:
+            return cost
+        if cost > best[s]:
+            continue
+        for nv in closed:
+            gained = nv & ~s
+            if not gained:
                 continue
-            if _close_mask(bits, s, full) == full:
-                return size, frozenset(vs[i] for i in _mask_vertices(s))
-    if max_size >= k:
-        raise AssertionError("the full vertex set always forces")
-    return None, min(max_size + 1, k)
+            # all of N[v] outside s is bought but the neighbor v then forces;
+            # a white v with no white neighbor is bought alone.  (s is closed,
+            # so a black v never has exactly one white neighbor.)
+            t_cost = cost + max(gained.bit_count() - 1, 1)
+            if t_cost > cap:
+                continue
+            t = _close_mask(bits, s | gained, full)
+            if t_cost < best.get(t, cap + 1):
+                best[t] = t_cost
+                heapq.heappush(heap, (t_cost, t))
+                if t == full:
+                    # only a cheaper path to the full set matters from here on
+                    cap = t_cost - 1
+    return None
 
 
-def _redundant(bits, s: int, full: int) -> bool:
-    """True when some member of s is forced by the rest anyway.
+def _colex_least(bits, full: int, size: int, limit: int, black: int):
+    """Colex-least set of `size` vertices below `limit` whose union with the
+    closed set `black` forces, or None.  Members are picked from the highest
+    down, each at the lowest position that can still succeed.
 
-    Safe to skip during increasing-size search: a hit here would imply a
-    forcing set one size smaller, which previous rounds already ruled out.
-    """
-    for v in _mask_vertices(s):
-        rest = s & ~(1 << v)
-        if (_close_mask(bits, rest, full) >> v) & 1:
-            return True
-    return False
+    Valid only when no smaller set forces: a vertex already in `black` would
+    make the set with it removed force, so it is never picked."""
+    if size == 0:
+        return 0 if black == full else None
+    # closure is monotone, so once black and every vertex up to p force, the
+    # same holds for every larger p; below that no completion can force
+    enough = False
+    for p in range(size - 1, limit):
+        if (black >> p) & 1:
+            continue
+        if not enough:
+            enough = _close_mask(bits, black | ((2 << p) - 1), full) == full
+            if not enough:
+                continue
+        rest = _colex_least(bits, full, size - 1, p,
+                            _close_mask(bits, black | (1 << p), full))
+        if rest is not None:
+            return rest | (1 << p)
+    return None
 
 
-def zero_forcing_number(g: Graph, budget: int | None = None,
-                        prune: bool = False) -> ZeroForcingResult:
+def zero_forcing_number(g: Graph, budget: int | None = None) -> ZeroForcingResult:
     """Exact zero forcing number with the colex-least minimum witness.
 
     Disconnected graphs are solved per component and summed.  With a budget,
@@ -172,7 +216,7 @@ def zero_forcing_number(g: Graph, budget: int | None = None,
             cap = budget - total - remaining
             if cap < floor[comp]:
                 return ZeroForcingResult(None, None, total + floor[comp] + remaining)
-        z, wit = _solve_component(g, comp, cap, prune)
+        z, wit = _solve_component(g, comp, cap)
         if z is None:
             return ZeroForcingResult(None, None, total + wit + remaining)
         total += z

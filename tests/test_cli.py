@@ -3,6 +3,7 @@
 import subprocess
 import sys
 
+from util import naive_closure
 from zeroforcing import (cycle_graph, enumerate_family, heawood_graph, necklace,
                          parse_graph6, path_graph, write_graph6,
                          zero_forcing_number)
@@ -62,6 +63,19 @@ def test_pipe_composability_equals_library():
     result = zero_forcing_number(parse_graph6(g6))
     witness = ",".join(map(str, sorted(result.witness)))
     assert zf_out == f"{g6}  Z={result.z}  witness={{{witness}}}\n"
+
+
+def test_zf_necklace_pipe():
+    code, gen_out, _ = run_cli(["gen", "necklace", "4"])
+    assert code == 0
+    code, zf_out, _ = run_cli(["zf"], stdin=gen_out)
+    assert code == 0
+    g6, z, witness = zf_out.split()
+    assert (g6, z) == (gen_out.strip(), "Z=10")
+    assert witness.startswith("witness={") and witness.endswith("}")
+    members = {int(v) for v in witness[len("witness={"):-1].split(",")}
+    assert len(members) == 10
+    assert naive_closure(necklace(4), members) == set(range(24))
 
 
 def test_gen_explicit_family_spec(capsys):

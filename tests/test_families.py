@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from util import naive_closure
 from zeroforcing import (ColoredGraph, Graph, apex_k1, are_isomorphic, compound,
                          complete_graph, counterexample16, cycle_graph,
                          edge_connectivity, enumerate_family, family_members,
@@ -225,6 +226,13 @@ class TestNecklace:
             g = necklace(beads)
             assert g.n == 6 * beads
             assert_cubic_connected(g)
+
+    def test_zero_forcing_number_is_n_over_3_plus_2(self):
+        for beads, z in ((4, 10), (5, 12)):
+            g = necklace(beads)
+            result = zero_forcing_number(g)
+            assert result.z == z == g.n // 3 + 2
+            assert naive_closure(g, result.witness) == set(range(g.n))
 
     def test_two_twin_pairs_per_bead(self):
         classes = twin_classes(necklace(3))

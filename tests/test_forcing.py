@@ -3,14 +3,24 @@
 import itertools
 import random
 
+import networkx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from util import naive_closure, naive_zero_forcing_number, random_graph
+from util import naive_closure, naive_colex_least, random_graph
 from zeroforcing import (Graph, closure, complete_graph, connected_cubic_graphs,
-                         cycle_graph, is_zero_forcing_set, path_graph,
-                         zero_forcing_number)
+                         cycle_graph, heawood_graph, is_zero_forcing_set,
+                         path_graph, zero_forcing_number)
+
+# every graph with 1 to 7 vertices, up to isomorphism (1252 graphs)
+ATLAS = [Graph(h.number_of_nodes(), list(h.edges()))
+         for h in networkx.graph_atlas_g()[1:]]
+
+# K4 + C4 + P3: Z = 3 + 2 + 1
+PIECES = Graph(11, list(complete_graph(4).edges)
+               + [(u + 4, v + 4) for u, v in cycle_graph(4).edges]
+               + [(8, 9), (9, 10)])
 
 
 @st.composite
@@ -130,31 +140,29 @@ class TestSolver:
         rng = random.Random(12)
         for _ in range(120):
             g = random_graph(rng, rng.randint(1, 7), p=rng.random())
-            assert zero_forcing_number(g).z == naive_zero_forcing_number(g)[0]
+            result = zero_forcing_number(g)
+            assert (result.z, result.witness) == naive_colex_least(g)
 
     def test_matches_naive_at_eight(self):
         rng = random.Random(13)
         for _ in range(60):
             g = random_graph(rng, 8, p=rng.random())
-            assert zero_forcing_number(g).z == naive_zero_forcing_number(g)[0]
+            result = zero_forcing_number(g)
+            assert (result.z, result.witness) == naive_colex_least(g)
+
+    def test_colex_least_witness_on_every_small_graph(self):
+        for i, g in enumerate(ATLAS, start=1):
+            result = zero_forcing_number(g)
+            assert (result.z, result.witness) == naive_colex_least(g), f"atlas {i}"
 
     def test_disconnected_adds_components(self):
-        pieces = Graph(11, list(complete_graph(4).edges)
-                       + [(u + 4, v + 4) for u, v in cycle_graph(4).edges]
-                       + [(8, 9), (9, 10)])
-        result = zero_forcing_number(pieces)
+        result = zero_forcing_number(PIECES)
         assert result.z == 3 + 2 + 1
-        assert is_zero_forcing_set(pieces, result.witness)
+        assert is_zero_forcing_set(PIECES, result.witness)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             zero_forcing_number(Graph(0))
-
-    def test_prune_changes_nothing(self):
-        rng = random.Random(14)
-        for _ in range(40):
-            g = random_graph(rng, rng.randint(1, 8))
-            assert zero_forcing_number(g) == zero_forcing_number(g, prune=True)
 
     def test_budget_exhaustion_reports_lower_bound(self):
         g = cycle_graph(6)                      # Z = 2
@@ -166,6 +174,27 @@ class TestSolver:
     def test_budget_generous_is_exact(self):
         g = cycle_graph(6)
         assert zero_forcing_number(g, budget=2).z == 2
+
+    def test_budget_boundary_on_every_small_graph(self):
+        for i, g in enumerate(ATLAS, start=1):
+            exact = zero_forcing_number(g)
+            for b in range(exact.z):
+                result = zero_forcing_number(g, budget=b)
+                assert not result.exact, f"atlas {i}, budget {b}"
+                assert b < result.lower_bound <= exact.z, f"atlas {i}, budget {b}"
+            assert zero_forcing_number(g, budget=exact.z) == exact, f"atlas {i}"
+
+    def test_budget_boundary_heawood(self):
+        g = heawood_graph()
+        assert zero_forcing_number(g, budget=5).lower_bound == 6
+        result = zero_forcing_number(g, budget=6)
+        assert (result.z, result.witness) == (6, frozenset({0, 1, 2, 7, 8, 9}))
+
+    def test_budget_boundary_disconnected(self):
+        for b in (3, 4, 5):
+            result = zero_forcing_number(PIECES, budget=b)
+            assert (result.exact, result.lower_bound) == (False, 6)
+        assert zero_forcing_number(PIECES, budget=6).z == 6
 
     def test_cubic_lower_bound(self):
         for order in (4, 6, 8):

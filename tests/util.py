@@ -26,13 +26,15 @@ def naive_closure(g: Graph, initial) -> set:
     return black
 
 
-def naive_zero_forcing_number(g: Graph):
-    """Reference Z by scanning every subset in order of size."""
+def naive_colex_least(g: Graph):
+    """Reference (Z, witness): the first forcing set by size, and within a
+    size in colex order (sorted by the members taken in descending order)."""
     vertices = list(range(g.n))
     for k in range(1, g.n + 1):
-        for combo in itertools.combinations(vertices, k):
+        for combo in sorted(itertools.combinations(vertices, k),
+                            key=lambda c: c[::-1]):
             if len(naive_closure(g, combo)) == g.n:
-                return k, set(combo)
+                return k, frozenset(combo)
     raise AssertionError("unreachable: the full set forces")
 
 
