@@ -143,7 +143,7 @@ def _run_bounds(args, records, out) -> int:
         if not first:
             print(file=out)
         first = False
-        report = spectral.bounds_report(g, budget=args.budget, tol=args.tol)
+        report = spectral.bounds_report(g, budget=args.budget)
         print(report.to_text(), file=out)
         if report.m is None:
             status = 1 if report.upper is None else status
@@ -191,7 +191,7 @@ def _run_census(args, records, out, err) -> int:
             continue
         try:
             kappa = edge_connectivity(g)
-            report = spectral.bounds_report(g, budget=args.budget, tol=args.tol)
+            report = spectral.bounds_report(g, budget=args.budget)
             eig = dict(report.lower_bounds)["eigenvalue"]
             twin = dict(report.lower_bounds)["twin"]
             upper = str(report.upper) if report.upper is not None else \
@@ -224,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--budget", type=int, default=None,
                        help="largest witness size the solver may try")
-        p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL,
-                       help="eigensolver convergence tolerance")
 
     p = sub.add_parser("gen", help="emit generated graphs as graph6")
     p.add_argument("spec", nargs="*", help="heawood | cex16 | necklace B | "

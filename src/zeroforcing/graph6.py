@@ -1,4 +1,4 @@
-"""Bit-exact graph6 codec, single-byte size form only (1 <= n <= 62).
+"""Bit-exact graph6 codec, single-byte size form only (0 <= n <= 62).
 
 Layout: byte 0 holds 63+n; each following byte carries six bits (most
 significant first) of the upper-triangle adjacency read in column order
@@ -63,8 +63,8 @@ def parse_graph6(text: str) -> Graph:
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph; inverse of parse_graph6 with zero padding bits."""
-    if not 0 < g.n <= 62:
-        raise ValueError(f"graph6 single-byte form covers 1..62 vertices, got {g.n}")
+    if not 0 <= g.n <= 62:
+        raise ValueError(f"graph6 single-byte form covers 0..62 vertices, got {g.n}")
     out = [chr(63 + g.n)]
     val = 0
     count = 0

@@ -149,11 +149,12 @@ def girth(g: Graph) -> int | None:
 
 # --- edge connectivity by unit-capacity max-flow ---
 
-def _max_flow_unit(g: Graph, s: int, t: int) -> int:
-    """Number of edge-disjoint s-t paths (each undirected edge used once)."""
+def _max_flow_unit(g: Graph, s: int, t: int, limit: int) -> int:
+    """Number of edge-disjoint s-t paths (each undirected edge used once),
+    counted up to `limit`."""
     cap = [dict.fromkeys(g.adj[u], 1) for u in range(g.n)]
     flow = 0
-    while True:
+    while flow < limit:
         prev = [-1] * g.n
         prev[s] = s
         queue = deque([s])
@@ -172,17 +173,22 @@ def _max_flow_unit(g: Graph, s: int, t: int) -> int:
             cap[v][u] = cap[v].get(u, 0) + 1
             v = u
         flow += 1
+    return flow
 
 
 def edge_connectivity(g: Graph) -> int:
     """Minimum number of edges whose removal disconnects g; 0 if already disconnected.
 
     Computed as the minimum over all t of the s-t max flow from a fixed s,
-    which equals the global minimum edge cut.
+    which equals the global minimum edge cut.  Each flow stops at the
+    smallest cut found so far, starting from the minimum degree.
     """
     if g.n <= 1 or not g.is_connected():
         return 0
-    return min(_max_flow_unit(g, 0, t) for t in range(1, g.n))
+    best = g.min_degree()
+    for t in range(1, g.n):
+        best = _max_flow_unit(g, 0, t, best)
+    return best
 
 
 # --- isomorphism: refinement-guided backtracking with an explicit witness ---

@@ -115,6 +115,14 @@ def test_census_survives_bad_record():
     assert "line 2" in err
 
 
+def test_census_skips_empty_graph():
+    # `?` is the graph on no vertices: parsed, then skipped with a note
+    code, out, err = run_cli(["census"], stdin="?\nC~\n")
+    assert code == 1
+    assert out == "C~\t4\t1\t3\t3\t3\t0\t-\tM=3\n"
+    assert err == "line 1: bounds are reported for connected graphs\n"
+
+
 def test_census_columns():
     code, out, _ = run_cli(["census"], stdin="C~\n")
     row = out.strip().split("\t")
@@ -160,14 +168,6 @@ def test_output_file(tmp_path):
     code, _, _ = run_cli(["gen", "heawood", "--out", str(out_path)])
     assert code == 0
     assert out_path.read_text() == write_graph6(heawood_graph()) + "\n"
-
-
-def test_bounds_tol_flag(tmp_path):
-    path = tmp_path / "k4.g6"
-    path.write_text("C~\n")
-    code, out, _ = run_cli(["bounds", "--in", str(path), "--tol", "1e-9"])
-    assert code == 0
-    assert "verdict: M=3" in out
 
 
 def test_census_budget_reports_forcing_floor(tmp_path):

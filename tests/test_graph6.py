@@ -61,9 +61,13 @@ def test_round_trip_random():
         assert encoded == reference_encode(g)
 
 
+def test_zero_vertices_round_trip():
+    assert write_graph6(Graph(0)) == "?"
+    assert parse_graph6(write_graph6(Graph(0))) == Graph(0)
+    assert reference_encode(Graph(0)) == "?"
+
+
 def test_writer_range():
-    with pytest.raises(ValueError):
-        write_graph6(Graph(0))
     with pytest.raises(ValueError):
         write_graph6(Graph(63))
 

@@ -3,10 +3,12 @@
 import itertools
 import random
 
+import networkx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import load_catalog
 from util import (brute_force_isomorphic, mapping_is_valid, permuted_copy,
                   random_connected_graph, random_graph)
 from zeroforcing import (Graph, are_isomorphic, canonical_certificate,
@@ -113,6 +115,16 @@ class TestEdgeConnectivity:
             assert found
             for fewer in itertools.combinations(sorted(g.edges), kappa - 1):
                 assert Graph(g.n, g.edges - set(fewer)).is_connected()
+
+    def test_matches_networkx(self):
+        # every graph with 1-7 vertices, then every cubic fixture (4-14)
+        hosts = list(networkx.graph_atlas_g()[1:])
+        hosts += [networkx.Graph(list(g.edges))
+                  for order in range(4, 15, 2) for g in load_catalog(order)]
+        assert len(hosts) == 1252 + 621
+        for h in hosts:
+            g = Graph(h.number_of_nodes(), list(h.edges()))
+            assert edge_connectivity(g) == networkx.edge_connectivity(h), h.edges()
 
 
 class TestIsomorphism:

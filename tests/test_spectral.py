@@ -5,7 +5,9 @@ import random
 
 import numpy as np
 import pytest
+import sympy
 
+from conftest import load_catalog
 from util import random_connected_graph, random_graph
 from zeroforcing import (Graph, MinorModel, adjacency_matrix, bounds_report,
                          complete_bipartite, complete_graph, cycle_graph,
@@ -14,7 +16,6 @@ from zeroforcing import (Graph, MinorModel, adjacency_matrix, bounds_report,
                          necklace, path_graph, permutation_prism, small_graphs,
                          twin_bound, twin_classes, verify_minor_model,
                          zero_forcing_number)
-from zeroforcing.spectral import ConvergenceError
 
 
 def petersen() -> Graph:
@@ -69,16 +70,6 @@ class TestEigenDecomposition:
         with pytest.raises(ValueError, match="square"):
             eigen_decomposition(np.zeros((2, 3)))
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError, match="tol"):
-            eigen_decomposition(np.zeros((2, 2)), tol=0.0)
-
-    def test_sweep_cap_reports_residual(self):
-        m = adjacency_matrix(heawood_graph())
-        with pytest.raises(ConvergenceError) as exc:
-            eigen_decomposition(m, max_sweeps=1, tol=1e-300)
-        assert exc.value.residual > 0
-
     def test_shift_identity(self):
         # multiplicity of an eigenvalue equals the nullity of the shifted matrix
         rng = random.Random(31)
@@ -95,14 +86,28 @@ class TestEigenDecomposition:
                   petersen(), cycle_graph(6)):
             a = adjacency_matrix(g)
             reference = [c.multiplicity for c in eigen_decomposition(a).clusters]
-            for tol in (1e-10, 1e-9, 1e-8, 1e-7):
-                report = eigen_decomposition(a, tol=tol)
+            for gap in (1e-9, 1e-8, 1e-7, 1e-6):
+                report = eigen_decomposition(a, cluster_gap=gap)
                 assert [c.multiplicity for c in report.clusters] == reference
-                report = eigen_decomposition(a, cluster_gap=tol * 10)
-                assert [c.multiplicity for c in report.clusters] == reference
+
+
+def exact_max_multiplicity(g: Graph) -> int:
+    """Largest root multiplicity of the characteristic polynomial, in integer
+    arithmetic; for a symmetric matrix this equals the largest eigenspace
+    dimension."""
+    a = sympy.Matrix(g.n, g.n, lambda i, j: int(g.has_edge(i, j)))
+    _, factors = sympy.sqf_list(a.charpoly())
+    return max(k for _, k in factors)
 
 
 class TestMultiplicityBound:
+    def test_matches_exact_charpoly(self):
+        graphs = [g for order in range(4, 13, 2) for g in load_catalog(order)]
+        graphs += [petersen(), heawood_graph()]
+        assert len(graphs) == 114
+        for g in graphs:
+            assert max_multiplicity_bound(g) == exact_max_multiplicity(g), g.edges
+
     def test_k5(self):
         assert max_multiplicity_bound(complete_graph(5)) == 4
 
