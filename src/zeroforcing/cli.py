@@ -10,13 +10,12 @@ Exit status: 0 on success, 1 on any computation error, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 
 from . import families, spectral
 from .forcing import closure, zero_forcing_number
 from .graph6 import Graph6Error, parse_graph6, write_graph6
-from .graphs import Graph, canonical_certificate, edge_connectivity
+from .graphs import Graph, edge_connectivity
 from .recognition import recognize_z3
 from .spanning import degree_census, spanning_tree
 
@@ -89,16 +88,8 @@ def _gen_graphs(spec: list, order: int | None):
         if len(indices) != t:
             raise CliError(f"expected {t} ladder indices, got {len(indices)}")
         blocks = tuple([("M", ni) for ni in indices] + [("T", m)])
-        out = []
-        seen = set()
-        for perms in itertools.product(itertools.permutations(range(3)), repeat=t):
-            fspec = families.FamilySpec(blocks=blocks, matchings=perms)
-            g = families.build_family(fspec)
-            cert = canonical_certificate(g)
-            if cert not in seen:
-                seen.add(cert)
-                out.append((fspec.label(), g))
-        return out
+        return [(spec_.label(), g)
+                for spec_, g, _ in families.distinct_assemblies(blocks).values()]
     raise CliError(f"unknown generator {kind!r}")
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
-from .graphs import Graph, canonical_certificate
+from .graphs import Graph, canonical_labelling
 
 
 @dataclass(frozen=True)
@@ -153,45 +154,56 @@ def build_family(spec: FamilySpec) -> Graph:
     return apex_k1(current)
 
 
-@lru_cache(maxsize=None)
-def family_members(order: int) -> tuple:
-    """All distinct family members of the given order, as (spec, graph) pairs.
+def distinct_assemblies(blocks: tuple) -> dict:
+    """The distinct members one block sequence assembles into under every
+    junction bijection, as certificate -> (spec, graph, canonical order).
 
-    Every block sequence whose assembled order matches is tried with every
-    junction bijection; results are validated (cubic, connected) and
-    deduplicated up to isomorphism.  Deterministic output order.
+    Results are validated (cubic, connected); each isomorphism class keeps
+    its first spec, in a deterministic order.
+    """
+    out = {}
+    for perms in itertools.product(itertools.permutations(range(3)),
+                                   repeat=len(blocks) - 1):
+        spec = FamilySpec(blocks=blocks, matchings=perms)
+        g = build_family(spec)
+        if g.is_cubic() and g.is_connected():
+            cert, order = canonical_labelling(g)
+            out.setdefault(cert, (spec, g, order))
+    return out
+
+
+@lru_cache(maxsize=None)
+def family_index(order: int) -> MappingProxyType:
+    """Every distinct family member of the given order, as certificate ->
+    (spec, graph, canonical order) in a deterministic insertion order.
+
+    Every block sequence of that assembled order goes through
+    `distinct_assemblies`; a class that several sequences build keeps its
+    first spec.  The mapping is cached, so it is handed out read-only.
     """
     if order < 4:
         raise ValueError("family members have at least 4 vertices")
-    out = []
-    seen = set()
+    out = {}
     # order = 1 (apex) + sum over M blocks (2n_i + 4) + (2m + 3)
     budget = order - 4
     for t in range(budget // 4 + 1):
         rest = budget - 4 * t
-        if rest < 0 or rest % 2:
+        if rest % 2:
             continue
         for m in range(rest // 2 + 1):
             tail = rest // 2 - m
-            if t == 0:
-                seqs = [()] if tail == 0 else []
-            else:
-                seqs = [c for c in itertools.product(range(tail + 1), repeat=t)
-                        if sum(c) == tail]
-            for seq in seqs:
+            for seq in itertools.product(range(tail + 1), repeat=t):
+                if sum(seq) != tail:
+                    continue
                 blocks = tuple([("M", ni) for ni in seq] + [("T", m)])
-                for perms in itertools.product(itertools.permutations(range(3)),
-                                               repeat=t):
-                    spec = FamilySpec(blocks=blocks, matchings=perms)
-                    g = build_family(spec)
-                    if g.n != order or not g.is_cubic() or not g.is_connected():
-                        continue
-                    cert = canonical_certificate(g)
-                    if cert in seen:
-                        continue
-                    seen.add(cert)
-                    out.append((spec, g))
-    return tuple(out)
+                for cert, entry in distinct_assemblies(blocks).items():
+                    out.setdefault(cert, entry)
+    return MappingProxyType(out)
+
+
+def family_members(order: int) -> tuple:
+    """The `family_index` members as (spec, graph) pairs, in its order."""
+    return tuple(entry[:2] for entry in family_index(order).values())
 
 
 def enumerate_family(order: int) -> tuple:

@@ -1,8 +1,8 @@
 """Immutable simple-graph type plus the small-graph algorithms shared by every module.
 
 Vertices are dense integers 0..n-1.  Adjacency is kept both as frozensets (for
-readable code) and as integer bitmasks (for the hot combinatorial loops), so a
-graph never exceeds 64 vertices in the solver paths that rely on masks.
+readable code) and as integer bitmasks (for the hot combinatorial loops); the
+masks are Python integers, so they set no limit on the vertex count.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def edge_connectivity(g: Graph) -> int:
     return best
 
 
-# --- isomorphism: refinement-guided backtracking with an explicit witness ---
+# --- canonical labelling: one routine for certificates and isomorphism witnesses ---
 
 @dataclass(frozen=True)
 class IsoWitness:
@@ -216,112 +216,93 @@ def _refine(g: Graph, colors):
         colors = new
 
 
-def _refine_pair(g: Graph, h: Graph):
-    """Refine both graphs against a shared color table; None if histograms split."""
-    cg = [g.degree(v) for v in range(g.n)]
-    ch = [h.degree(v) for v in range(h.n)]
-    while True:
-        kg = [(cg[v], tuple(sorted(cg[u] for u in g.adj[v]))) for v in range(g.n)]
-        kh = [(ch[v], tuple(sorted(ch[u] for u in h.adj[v]))) for v in range(h.n)]
-        if sorted(kg) != sorted(kh):
-            return None
-        remap = {k: i for i, k in enumerate(sorted(set(kg)))}
-        ng = [remap[k] for k in kg]
-        nh = [remap[k] for k in kh]
-        if ng == cg and nh == ch:
-            return cg, ch
-        cg, ch = ng, nh
+def canonical_labelling(g: Graph) -> tuple:
+    """(certificate, order): equal certificates iff the graphs are isomorphic;
+    order[i] is the vertex at canonical position i.
 
-
-def are_isomorphic(g: Graph, h: Graph) -> IsoWitness:
-    """Deterministic isomorphism test; the witness maps g's ids onto h's."""
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return IsoWitness(None)
-    if g.degree_sequence() != h.degree_sequence():
-        return IsoWitness(None)
-    pair = _refine_pair(g, h)
-    if pair is None:
-        return IsoWitness(None)
-    cg, ch = pair
-    cells = {}
-    for v in range(h.n):
-        cells.setdefault(ch[v], []).append(v)
-    # most-constrained g vertices first: small color class, high degree
-    order = sorted(range(g.n), key=lambda v: (len(cells.get(cg[v], ())), -g.degree(v), v))
-    mapping = [-1] * g.n
-    used = [False] * h.n
-
-    def extend(i):
-        if i == g.n:
-            return True
-        u = order[i]
-        for w in cells.get(cg[u], ()):
-            if used[w]:
-                continue
-            ok = True
-            for x in g.adj[u]:
-                mx = mapping[x]
-                if mx != -1 and mx not in h.adj[w]:
-                    ok = False
-                    break
-            if ok:
-                for x in range(g.n):
-                    mx = mapping[x]
-                    if mx != -1 and x not in g.adj[u] and mx in h.adj[w]:
-                        ok = False
-                        break
-            if ok:
-                mapping[u] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                mapping[u] = -1
-                used[w] = False
-        return False
-
-    if not extend(0):
-        return IsoWitness(None)
-    return IsoWitness(tuple(mapping))
-
-
-def canonical_certificate(g: Graph) -> tuple:
-    """Canonical form: two graphs have equal certificates iff they are isomorphic.
-
-    Individualization-refinement over the first non-singleton color class,
-    taking the minimum adjacency bitstring over all discrete leaves.  Fine for
-    the orders this package works at (n up to ~30).
+    Individualization-refinement: each node individualizes one vertex of the
+    first non-singleton color class and refines, down to discrete colorings.
+    The certificate is (n, least adjacency bitstring over those leaves), and
+    `order` comes from the first leaf that gives it.  First-path automorphism
+    pruning (McKay & Piperno, Practical graph isomorphism II, 2014): a leaf
+    equal to the first leaf gives an automorphism, and the search unwinds to
+    their common prefix; a first-path node tries one child per orbit of the
+    automorphisms found so far, which all fix its prefix.  Skipped leaves
+    repeat keys already seen, so the least key is still found.
     """
     n = g.n
     if n == 0:
-        return (0, 0)
-    adjbits = g.bits
-    best = None
+        return (0, 0), ()
+    # a leaf's key holds the adjacency of positions (i, j), j < i, row by row
+    # from its top bit, (1, 0), down to bit 0, (n-1, n-2)
+    top = n * (n - 1) // 2 - 1
+    path = []           # vertices individualized on the way to the current node
+    first = None        # (key, path, order) of the first leaf
+    best = None         # (key, order) of the first leaf with the least key
+    orbit = list(range(n))    # union-find over the automorphisms found so far
 
-    def adjacency_key(perm_inv):
-        key = 0
-        for i in range(n):
-            ai = adjbits[perm_inv[i]]
-            for j in range(i):
-                key = (key << 1) | ((ai >> perm_inv[j]) & 1)
-        return key
+    def find(x):
+        while orbit[x] != x:
+            orbit[x] = orbit[orbit[x]]
+            x = orbit[x]
+        return x
 
-    def rec(colors):
-        nonlocal best
+    def rec(colors, on_first_path):
+        """Search below the node; returns the depth the search resumes at."""
+        nonlocal first, best
+        depth = len(path)
         cells = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
         split = [c for c in sorted(cells) if len(cells[c]) > 1]
-        if not split:
-            perm_inv = [v for _, v in sorted((colors[v], v) for v in range(n))]
-            key = adjacency_key(perm_inv)
-            if best is None or key < best:
-                best = key
-            return
+        if not split:       # discrete: colors[v] is v's position
+            key = 0
+            for u, w in g.edges:
+                i, j = sorted((colors[u], colors[w]))
+                key |= 1 << (top - j * (j - 1) // 2 - i)
+            order = sorted(range(n), key=colors.__getitem__)
+            if best is None or key < best[0]:
+                best = (key, order)
+            if first is None:
+                first = (key, tuple(path), order)
+            elif key == first[0]:       # automorphism first[2][i] -> order[i]
+                for u, w in zip(first[2], order):
+                    ru, rw = find(u), find(w)
+                    orbit[max(ru, rw)] = min(ru, rw)
+                return next(i for i, (u, w) in enumerate(zip(path, first[1])) if u != w)
+            return depth
+        explored = []
         for v in cells[split[0]]:
+            # while a first-path node is open, every automorphism found so
+            # far diverged below it, so each one fixes the node's prefix
+            if on_first_path and find(v) in {find(u) for u in explored}:
+                continue
             nc = [c + 1 if c >= colors[v] else c for c in colors]
             nc[v] = colors[v]
-            rec(_refine(g, nc))
+            path.append(v)
+            resume = rec(_refine(g, nc), on_first_path and not explored)
+            path.pop()
+            if resume < depth:
+                return resume
+            explored.append(v)
+        return depth
 
     degs = sorted(set(g.degree(v) for v in range(n)))
-    rec(_refine(g, [degs.index(g.degree(v)) for v in range(n)]))
-    return (n, best)
+    rec(_refine(g, [degs.index(g.degree(v)) for v in range(n)]), True)
+    return (n, best[0]), tuple(best[1])
+
+
+def canonical_certificate(g: Graph) -> tuple:
+    """Canonical form: two graphs have equal certificates iff they are isomorphic."""
+    return canonical_labelling(g)[0]
+
+
+def are_isomorphic(g: Graph, h: Graph) -> IsoWitness:
+    """Isomorphism test by canonical labelling; the witness maps g's ids onto
+    h's, sending the vertex at each canonical position of g to the vertex at
+    the same position of h."""
+    cert_g, order_g = canonical_labelling(g)
+    cert_h, order_h = canonical_labelling(h)
+    if cert_g != cert_h:
+        return IsoWitness(None)
+    return IsoWitness(tuple(w for _, w in sorted(zip(order_g, order_h))))

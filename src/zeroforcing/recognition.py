@@ -1,18 +1,19 @@
 """Decides whether a connected cubic graph has zero forcing number 3.
 
 Membership in the assembled block family characterizes these graphs, so
-recognition is catalog matching: build every family member of the right
-order (cached) and look for an isomorphism.  Graphs with edge connectivity
-below 3 are rejected without any search.
+recognition is a membership test: the family members of the input's order
+are indexed by canonical certificate (cached), and the input's canonical
+labelling is looked up in that index.  Graphs with edge connectivity below 3
+are rejected without any labelling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import FamilySpec, family_members
+from .families import FamilySpec, family_index
 from .forcing import zero_forcing_number
-from .graphs import Graph, IsoWitness, are_isomorphic, edge_connectivity
+from .graphs import Graph, canonical_labelling, edge_connectivity
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,10 @@ def recognize_z3(g: Graph) -> RecognitionResult:
     kappa = edge_connectivity(g)
     if kappa < 3:
         return RecognitionResult(member=False, edge_connectivity=kappa)
-    for spec, member in family_members(g.n):
-        witness: IsoWitness = are_isomorphic(member, g)
-        if witness.isomorphic:
-            return RecognitionResult(member=True, spec=spec,
-                                     mapping=witness.mapping)
-    return RecognitionResult(member=False, z=zero_forcing_number(g).z)
+    cert, order = canonical_labelling(g)
+    entry = family_index(g.n).get(cert)
+    if entry is None:
+        return RecognitionResult(member=False, z=zero_forcing_number(g).z)
+    spec, _, member_order = entry
+    mapping = tuple(w for _, w in sorted(zip(member_order, order)))
+    return RecognitionResult(member=True, spec=spec, mapping=mapping)

@@ -224,8 +224,10 @@ def bounds_report(g: Graph, models=(), budget: int | None = None) -> BoundsRepor
     """Best maximum-nullity sandwich for a connected graph.
 
     `models` are complete-minor models; each must verify, and a verified
-    model of target k contributes the lower bound k - 1.
+    model of target k contributes the lower bound k - 1.  The graph6 record
+    is encoded first, so a graph beyond the codec fails before any solving.
     """
+    graph6 = write_graph6(g)
     if not g.is_connected():
         raise ValueError("bounds are reported for connected graphs")
     eig = max_multiplicity_bound(g)
@@ -242,7 +244,7 @@ def bounds_report(g: Graph, models=(), budget: int | None = None) -> BoundsRepor
         raise AssertionError(f"lower bound {lower} exceeds zero forcing "
                              f"number {result.z}; one of them is wrong")
     upper = result.z
-    return BoundsReport(graph6=write_graph6(g),
+    return BoundsReport(graph6=graph6,
                         lower_bounds=tuple(sources),
                         lower=lower,
                         upper=upper,

@@ -13,7 +13,15 @@ from util import (brute_force_isomorphic, mapping_is_valid, permuted_copy,
                   random_connected_graph, random_graph)
 from zeroforcing import (Graph, are_isomorphic, canonical_certificate,
                          complete_bipartite, complete_graph, cycle_graph,
-                         edge_connectivity, girth, path_graph)
+                         edge_connectivity, girth, heawood_graph, necklace,
+                         path_graph, permutation_prism)
+
+
+def to_networkx(g: Graph) -> networkx.Graph:
+    host = networkx.Graph()
+    host.add_nodes_from(range(g.n))
+    host.add_edges_from(g.edges)
+    return host
 
 
 @st.composite
@@ -189,11 +197,31 @@ class TestCanonicalCertificate:
             h = permuted_copy(rng, g) if rng.random() < 0.5 else \
                 random_graph(rng, n)
             same = canonical_certificate(g) == canonical_certificate(h)
-            assert same == are_isomorphic(g, h).isomorphic
+            assert same == networkx.is_isomorphic(to_networkx(g), to_networkx(h))
 
     def test_invariant_under_relabeling(self):
+        # a random graph, then symmetric inputs where automorphism pruning
+        # carries the search (Graph(9) alone has 9! leaves unpruned)
         rng = random.Random(6)
         g = random_graph(rng, 9)
         for _ in range(20):
             assert canonical_certificate(permuted_copy(rng, g)) == \
                 canonical_certificate(g)
+        for g in (complete_graph(8), complete_bipartite(4, 4), heawood_graph(),
+                  necklace(4), permutation_prism(8), Graph(9)):
+            h = permuted_copy(rng, g)
+            assert canonical_certificate(h) == canonical_certificate(g)
+            assert mapping_is_valid(g, h, are_isomorphic(g, h).mapping)
+
+    def test_atlas_graphs(self):
+        # every graph with 1-7 vertices, each once up to isomorphism
+        rng = random.Random(8)
+        certs = set()
+        for host in networkx.graph_atlas_g()[1:]:
+            g = Graph(host.number_of_nodes(), list(host.edges()))
+            h = permuted_copy(rng, g)
+            cert = canonical_certificate(g)
+            assert canonical_certificate(h) == cert
+            assert mapping_is_valid(g, h, are_isomorphic(g, h).mapping)
+            certs.add(cert)
+        assert len(certs) == 1252

@@ -1,12 +1,14 @@
 """Membership recognition for cubic graphs with forcing number 3."""
 
+import random
+
 import pytest
 
 from conftest import load_catalog
-from util import mapping_is_valid
+from util import mapping_is_valid, permuted_copy
 from zeroforcing import (Graph, are_isomorphic, build_family, complete_bipartite,
-                         complete_graph, heawood_graph, recognize_z3,
-                         zero_forcing_number)
+                         complete_graph, family_members, heawood_graph,
+                         recognize_z3, zero_forcing_number)
 
 TRIANGULAR_PRISM = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                              (0, 3), (1, 4), (2, 5)])
@@ -99,6 +101,14 @@ class TestAgreementWithSolver:
         solved = [zero_forcing_number(g).z == 3 for g in load_catalog(14)]
         assert verdicts == solved
         assert sum(verdicts) == 10
+
+    def test_relabelled_members_at_order_eighteen(self):
+        rng = random.Random(18)
+        for spec, member in family_members(18):
+            g = permuted_copy(rng, member)
+            result = recognize_z3(g)
+            assert result.member and result.spec == spec
+            assert mapping_is_valid(member, g, result.mapping)
 
     def test_members_never_have_small_cuts(self):
         from zeroforcing import edge_connectivity

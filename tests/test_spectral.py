@@ -9,6 +9,7 @@ import sympy
 
 from conftest import load_catalog
 from util import random_connected_graph, random_graph
+from zeroforcing import spectral
 from zeroforcing import (Graph, MinorModel, adjacency_matrix, bounds_report,
                          complete_bipartite, complete_graph, cycle_graph,
                          eigen_decomposition, find_clique_minor, heawood_graph,
@@ -235,6 +236,14 @@ class TestBoundsReport:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):
             bounds_report(Graph(4, [(0, 1), (2, 3)]))
+
+    def test_beyond_graph6_range_fails_before_solving(self, monkeypatch):
+        def never(*args, **kwargs):
+            pytest.fail("solver ran for a graph the codec cannot encode")
+
+        monkeypatch.setattr(spectral, "zero_forcing_number", never)
+        with pytest.raises(ValueError, match="0..62 vertices"):
+            bounds_report(cycle_graph(64))
 
     def test_sandwich_on_small_connected_graphs(self):
         rng = random.Random(32)
