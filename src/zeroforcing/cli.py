@@ -4,42 +4,37 @@ Subcommands read graph6 records from --in (default stdin), one per line, and
 write one record per graph, so generators and computations compose through
 pipes: `zeroforcing gen heawood | zeroforcing bounds`.
 
-Exit status: 0 on success, 1 on any computation error, 2 on usage errors.
+Every record subcommand follows one policy: a record that fails to parse or
+compute is skipped with a `line N: <message>` note on stderr, and the rest
+of the input is still processed.  An exhausted solver budget still prints
+its `Z>=k` record.  Exit status: 0 on success, 1 if any record was skipped or
+hit its budget (or on a generator or file error), 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import families, spectral
 from .forcing import closure, zero_forcing_number
-from .graph6 import Graph6Error, parse_graph6, write_graph6
-from .graphs import Graph, edge_connectivity
+from .graph6 import parse_graph6, write_graph6
+from .graphs import edge_connectivity
 from .recognition import recognize_z3
 from .spanning import degree_census, spanning_tree
-
-
-class CliError(Exception):
-    pass
 
 
 def _fmt_set(vertices) -> str:
     return "{" + ",".join(map(str, sorted(vertices))) + "}"
 
 
-def _iter_input(stream):
-    for ln, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if line:
-            yield ln, line
-
-
-def _parse_record(ln: int, line: str) -> Graph:
+def _vertex_list(text: str) -> list:
     try:
-        return parse_graph6(line)
-    except Graph6Error as exc:
-        raise CliError(f"line {ln}: {exc.message}") from None
+        return [int(v) for v in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated vertex ids, got {text!r}") from None
 
 
 def _gen_graphs(spec: list, order: int | None):
@@ -49,7 +44,7 @@ def _gen_graphs(spec: list, order: int | None):
     `prism N [sigma=i,j]`; `necklace B`; `heawood`; `cex16`.
     """
     if not spec:
-        raise CliError("gen needs a generator spec")
+        raise ValueError("gen needs a generator spec")
     kind, args = spec[0], spec[1:]
     if kind == "heawood":
         return [("heawood", families.heawood_graph())]
@@ -57,19 +52,21 @@ def _gen_graphs(spec: list, order: int | None):
         return [("cex16", families.counterexample16())]
     if kind == "necklace":
         if len(args) != 1:
-            raise CliError("usage: gen necklace B")
+            raise ValueError("usage: gen necklace B")
         return [(f"necklace({args[0]})", families.necklace(int(args[0])))]
     if kind == "prism":
         if not args:
-            raise CliError("usage: gen prism N [sigma=i,j]")
+            raise ValueError("usage: gen prism N [sigma=i,j]")
         n = int(args[0])
         sigma = None
         for extra in args[1:]:
             if extra.startswith("sigma="):
-                i, j = extra[len("sigma="):].split(",")
-                sigma = (int(i), int(j))
+                pair = extra[len("sigma="):].split(",")
+                if len(pair) != 2:
+                    raise ValueError("usage: gen prism N [sigma=i,j]")
+                sigma = (int(pair[0]), int(pair[1]))
             else:
-                raise CliError(f"unknown prism argument {extra!r}")
+                raise ValueError(f"unknown prism argument {extra!r}")
         label = f"prism({n},{sigma or 'id'})"
         return [(label, families.permutation_prism(n, sigma))]
     if kind == "family":
@@ -79,126 +76,74 @@ def _gen_graphs(spec: list, order: int | None):
         params = dict(token.split("=", 1) for token in args if "=" in token)
         plain = [token for token in args if "=" not in token]
         if "t" not in params or "m" not in params:
-            raise CliError("usage: gen family t=T m=M [n1,..,nT] | "
-                           "gen family --order N")
+            raise ValueError("usage: gen family t=T m=M [n1,..,nT] | "
+                             "gen family --order N")
         t, m = int(params["t"]), int(params["m"])
         indices = []
         if plain:
             indices = [int(x) for x in plain[0].split(",")]
         if len(indices) != t:
-            raise CliError(f"expected {t} ladder indices, got {len(indices)}")
+            raise ValueError(f"expected {t} ladder indices, got {len(indices)}")
         blocks = tuple([("M", ni) for ni in indices] + [("T", m)])
         return [(spec_.label(), g)
                 for spec_, g, _ in families.distinct_assemblies(blocks).values()]
-    raise CliError(f"unknown generator {kind!r}")
+    raise ValueError(f"unknown generator {kind!r}")
 
 
-def _run_gen(args, out) -> int:
-    for _, g in _gen_graphs(args.spec, args.order):
-        print(write_graph6(g), file=out)
-    return 0
+# Record subcommands: (args, line, graph) -> (text, ok); ok is False when the
+# solver budget ran out before the record's answer was exact.
+
+def _closure(args, line, g):
+    derived = closure(g, args.black)
+    trace = ",".join(f"{u}>{v}" for u, v in derived.trace)
+    return f"{line}  black={_fmt_set(derived.black)}  trace=[{trace}]", True
 
 
-def _run_closure(args, records, out) -> int:
-    initial = [int(v) for v in args.black.split(",")] if args.black else []
-    for ln, line in records:
-        g = _parse_record(ln, line)
-        derived = closure(g, initial)
-        trace = ",".join(f"{u}>{v}" for u, v in derived.trace)
-        print(f"{line}  black={_fmt_set(derived.black)}  trace=[{trace}]", file=out)
-    return 0
+def _zf(args, line, g):
+    result = zero_forcing_number(g, budget=args.budget)
+    if not result.exact:
+        return f"{line}  Z>={result.lower_bound}  witness=-", False
+    if args.format == "tsv":
+        return f"{line}\t{result.z}\t{_fmt_set(result.witness)}", True
+    return f"{line}  Z={result.z}  witness={_fmt_set(result.witness)}", True
 
 
-def _run_zf(args, records, out) -> int:
-    status = 0
-    for ln, line in records:
-        g = _parse_record(ln, line)
-        result = zero_forcing_number(g, budget=args.budget)
-        if result.exact:
-            if args.format == "tsv":
-                print(f"{line}\t{result.z}\t{_fmt_set(result.witness)}", file=out)
-            else:
-                print(f"{line}  Z={result.z}  witness={_fmt_set(result.witness)}",
-                      file=out)
-        else:
-            print(f"{line}  Z>={result.lower_bound}  witness=-", file=out)
-            status = 1
-    return status
+def _bounds(args, line, g):
+    report = spectral.bounds_report(g, budget=args.budget)
+    return report.to_text(), report.upper is not None
 
 
-def _run_bounds(args, records, out) -> int:
-    status = 0
-    first = True
-    for ln, line in records:
-        g = _parse_record(ln, line)
-        if not first:
-            print(file=out)
-        first = False
-        report = spectral.bounds_report(g, budget=args.budget)
-        print(report.to_text(), file=out)
-        if report.m is None:
-            status = 1 if report.upper is None else status
-    return status
+def _recognize(args, line, g):
+    result = recognize_z3(g)
+    if result.member:
+        return f"{line}  member  spec={result.spec.label()}", True
+    if result.edge_connectivity is not None:
+        return f"{line}  non-member  kappa={result.edge_connectivity}", True
+    return f"{line}  non-member  Z={result.z}", True
 
 
-def _run_recognize(args, records, out) -> int:
-    for ln, line in records:
-        g = _parse_record(ln, line)
-        result = recognize_z3(g)
-        if result.member:
-            print(f"{line}  member  spec={result.spec.label()}", file=out)
-        elif result.edge_connectivity is not None:
-            print(f"{line}  non-member  kappa={result.edge_connectivity}", file=out)
-        else:
-            print(f"{line}  non-member  Z={result.z}", file=out)
-    return 0
+def _spantree(args, line, g):
+    result = spanning_tree(g, args.root)
+    if args.format == "graph6":
+        return write_graph6(result.tree), True
+    deleted = ",".join(f"({u},{v})" for u, v in sorted(result.deleted))
+    extra = ""
+    if all(result.tree.degree(v) <= 3 for v in range(result.tree.n)):
+        census = degree_census(result)
+        extra = f"  n1={census.n1} n2={census.n2} n3={census.n3}"
+    return (f"{write_graph6(result.tree)}  root={args.root}  "
+            f"deleted=[{deleted}]{extra}"), True
 
 
-def _run_spantree(args, records, out) -> int:
-    for ln, line in records:
-        g = _parse_record(ln, line)
-        result = spanning_tree(g, args.root)
-        if args.format == "graph6":
-            print(write_graph6(result.tree), file=out)
-            continue
-        deleted = ",".join(f"({u},{v})" for u, v in sorted(result.deleted))
-        extra = ""
-        if all(result.tree.degree(v) <= 3 for v in range(result.tree.n)):
-            census = degree_census(result)
-            extra = f"  n1={census.n1} n2={census.n2} n3={census.n3}"
-        print(f"{write_graph6(result.tree)}  root={args.root}  "
-              f"deleted=[{deleted}]{extra}", file=out)
-    return 0
-
-
-def _run_census(args, records, out, err) -> int:
-    status = 0
-    for ln, line in records:
-        try:
-            g = parse_graph6(line)
-        except Graph6Error as exc:
-            print(f"line {ln}: {exc.message}", file=err)
-            status = 1
-            continue
-        try:
-            kappa = edge_connectivity(g)
-            report = spectral.bounds_report(g, budget=args.budget)
-            eig = dict(report.lower_bounds)["eigenvalue"]
-            twin = dict(report.lower_bounds)["twin"]
-            upper = str(report.upper) if report.upper is not None else \
-                f">={report.upper_floor}"
-            verdict = f"M={report.m}" if report.m is not None else \
-                f"M in [{report.lower},{report.upper or '?'}]"
-            if report.upper is None:
-                status = 1
-            row = [line, str(g.n), "1" if g.is_cubic() else "0", str(kappa),
-                   upper, str(eig), str(twin), "-", verdict]
-        except (ValueError, RuntimeError) as exc:
-            print(f"line {ln}: {exc}", file=err)
-            status = 1
-            continue
-        print("\t".join(row), file=out)
-    return status
+def _census(args, line, g):
+    kappa = edge_connectivity(g)
+    report = spectral.bounds_report(g, budget=args.budget)
+    sources = dict(report.lower_bounds)
+    upper = str(report.upper) if report.upper is not None else \
+        f">={report.upper_floor}"
+    row = [line, str(g.n), "1" if g.is_cubic() else "0", str(kappa), upper,
+           str(sources["eigenvalue"]), str(sources["twin"]), "-", report.verdict]
+    return "\t".join(row), report.upper is not None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,7 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="zero forcing numbers, cubic families, and nullity bounds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text",)):
+    def record_command(name, run, help, formats=("text",), sep=""):
+        # sep is printed between two output records
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run, sep=sep)
         p.add_argument("--in", dest="infile", default=None,
                        help="input file of graph6 records (default stdin)")
         p.add_argument("--out", dest="outfile", default=None,
@@ -215,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--budget", type=int, default=None,
                        help="largest witness size the solver may try")
+        return p
 
     p = sub.add_parser("gen", help="emit generated graphs as graph6")
     p.add_argument("spec", nargs="*", help="heawood | cex16 | necklace B | "
@@ -223,65 +172,52 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with `family`: emit every member of this order")
     p.add_argument("--out", dest="outfile", default=None)
 
-    p = sub.add_parser("closure", help="derived coloring of an initial set")
-    common(p)
-    p.add_argument("--black", default="", help="initial black set, e.g. 0,1,2")
-
-    p = sub.add_parser("zf", help="exact zero forcing number")
-    common(p, formats=("text", "tsv"))
-
-    p = sub.add_parser("bounds", help="maximum-nullity sandwich report")
-    common(p)
-
-    p = sub.add_parser("recognize", help="zero-forcing-number-3 membership")
-    common(p)
-
-    p = sub.add_parser("spantree", help="layered spanning tree")
-    common(p, formats=("text", "graph6"))
+    p = record_command("closure", _closure, "derived coloring of an initial set")
+    p.add_argument("--black", type=_vertex_list, default="",
+                   help="initial black set, e.g. 0,1,2")
+    record_command("zf", _zf, "exact zero forcing number", formats=("text", "tsv"))
+    record_command("bounds", _bounds, "maximum-nullity sandwich report", sep="\n")
+    record_command("recognize", _recognize, "zero-forcing-number-3 membership")
+    p = record_command("spantree", _spantree, "layered spanning tree",
+                       formats=("text", "graph6"))
     p.add_argument("--root", type=int, default=0)
-
-    p = sub.add_parser("census", help="TSV invariants over a graph6 stream")
-    common(p, formats=("tsv",))
+    record_command("census", _census, "TSV invariants over a graph6 stream",
+                   formats=("tsv",))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    instream = outstream = None
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "infile", None):
-            instream = open(args.infile)
-        if getattr(args, "outfile", None):
-            outstream = open(args.outfile, "w")
-        out = outstream or sys.stdout
-        if args.command == "gen":
-            return _run_gen(args, out)
-        records = _iter_input(instream or sys.stdin)
-        if args.command == "closure":
-            return _run_closure(args, records, out)
-        if args.command == "zf":
-            return _run_zf(args, records, out)
-        if args.command == "bounds":
-            return _run_bounds(args, records, out)
-        if args.command == "recognize":
-            return _run_recognize(args, records, out)
-        if args.command == "spantree":
-            return _run_spantree(args, records, out)
-        if args.command == "census":
-            return _run_census(args, records, out, sys.stderr)
-        raise CliError(f"unhandled command {args.command}")
-    except CliError as exc:
-        print(f"zeroforcing: {exc}", file=sys.stderr)
-        return 1
+        with contextlib.ExitStack() as files:
+            infile = getattr(args, "infile", None)
+            instream = files.enter_context(open(infile)) if infile else sys.stdin
+            out = files.enter_context(open(args.outfile, "w")) if args.outfile \
+                else sys.stdout
+            if args.command == "gen":
+                for _, g in _gen_graphs(args.spec, args.order):
+                    print(write_graph6(g), file=out)
+                return 0
+            status = 0
+            sep = ""
+            for ln, raw in enumerate(instream, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    text, ok = args.run(args, line, parse_graph6(line))
+                except (ValueError, RuntimeError) as exc:
+                    print(f"line {ln}: {exc}", file=sys.stderr)
+                    status = 1
+                    continue
+                print(sep + text, file=out)
+                sep = args.sep
+                if not ok:
+                    status = 1
+            return status
     except (ValueError, OSError) as exc:
         print(f"zeroforcing: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if instream:
-            instream.close()
-        if outstream:
-            outstream.close()
 
 
 if __name__ == "__main__":

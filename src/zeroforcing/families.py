@@ -206,11 +206,6 @@ def family_members(order: int) -> tuple:
     return tuple(entry[:2] for entry in family_index(order).values())
 
 
-def enumerate_family(order: int) -> tuple:
-    """Graphs of `family_members`, without the assembly recipes."""
-    return tuple(g for _, g in family_members(order))
-
-
 def permutation_prism(n: int, sigma: tuple | None = None) -> Graph:
     """Two disjoint n-cycles with spokes u_k to v_sigma(k).
 

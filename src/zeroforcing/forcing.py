@@ -47,14 +47,18 @@ class ZeroForcingResult:
         return self.z is not None
 
 
-def _check_vertices(g: Graph, vertices):
+def _vertex_mask(g: Graph, vertices) -> int:
+    mask = 0
     for v in vertices:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
+        mask |= 1 << v
+    return mask
 
 
-def _close_mask(bits, black: int, full: int) -> int:
-    """Closure on bitmasks: a black vertex with exactly one white neighbor forces it."""
+def _close_mask(bits, black: int, full: int, trace=None) -> int:
+    """Closure on bitmasks: a black vertex with exactly one white neighbor
+    forces it.  Each force applied is appended to `trace` as (forcer, forced)."""
     active = black
     while active:
         low = active & -active
@@ -62,6 +66,8 @@ def _close_mask(bits, black: int, full: int) -> int:
         white = bits[low.bit_length() - 1] & ~black
         if white and white & (white - 1) == 0:
             black |= white
+            if trace is not None:
+                trace.append((low.bit_length() - 1, white.bit_length() - 1))
             if black == full:
                 return black
             # the forced vertex and its black neighbors may force next
@@ -70,40 +76,16 @@ def _close_mask(bits, black: int, full: int) -> int:
 
 
 def closure(g: Graph, initial) -> DerivedColoring:
-    """Derived coloring of `initial`, with the forces in deterministic order."""
-    _check_vertices(g, initial)
-    black = 0
-    for v in initial:
-        black |= 1 << v
-    bits = g.bits
+    """Derived coloring of `initial`, with the forces listed in the order the
+    loop applies them."""
     trace = []
-    queue = sorted(initial)
-    head = 0
-    queued = black
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        queued &= ~(1 << u)
-        white = bits[u] & ~black
-        if white and white & (white - 1) == 0:
-            v = white.bit_length() - 1
-            black |= white
-            trace.append((u, v))
-            for w in (v, *(x for x in g.adj[v] if (black >> x) & 1)):
-                if not (queued >> w) & 1:
-                    queued |= 1 << w
-                    queue.append(w)
-    final = frozenset(v for v in range(g.n) if (black >> v) & 1)
-    return DerivedColoring(black=final, trace=tuple(trace))
+    black = _close_mask(g.bits, _vertex_mask(g, initial), (1 << g.n) - 1, trace)
+    return DerivedColoring(black=frozenset(_mask_vertices(black)), trace=tuple(trace))
 
 
 def is_zero_forcing_set(g: Graph, vertices) -> bool:
-    _check_vertices(g, vertices)
-    black = 0
-    for v in vertices:
-        black |= 1 << v
     full = (1 << g.n) - 1
-    return _close_mask(g.bits, black, full) == full
+    return _close_mask(g.bits, _vertex_mask(g, vertices), full) == full
 
 
 def _mask_vertices(mask: int):

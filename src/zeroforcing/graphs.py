@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 
 
 class Graph:
@@ -191,18 +190,7 @@ def edge_connectivity(g: Graph) -> int:
     return best
 
 
-# --- canonical labelling: one routine for certificates and isomorphism witnesses ---
-
-@dataclass(frozen=True)
-class IsoWitness:
-    """Either a vertex bijection g -> h preserving adjacency, or None."""
-
-    mapping: tuple | None
-
-    @property
-    def isomorphic(self) -> bool:
-        return self.mapping is not None
-
+# --- canonical labelling: certificates, and orders that map one graph onto another ---
 
 def _refine(g: Graph, colors):
     """Iterated neighborhood refinement with canonical color ids."""
@@ -295,14 +283,3 @@ def canonical_labelling(g: Graph) -> tuple:
 def canonical_certificate(g: Graph) -> tuple:
     """Canonical form: two graphs have equal certificates iff they are isomorphic."""
     return canonical_labelling(g)[0]
-
-
-def are_isomorphic(g: Graph, h: Graph) -> IsoWitness:
-    """Isomorphism test by canonical labelling; the witness maps g's ids onto
-    h's, sending the vertex at each canonical position of g to the vertex at
-    the same position of h."""
-    cert_g, order_g = canonical_labelling(g)
-    cert_h, order_h = canonical_labelling(h)
-    if cert_g != cert_h:
-        return IsoWitness(None)
-    return IsoWitness(tuple(w for _, w in sorted(zip(order_g, order_h))))

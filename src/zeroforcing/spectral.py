@@ -201,6 +201,13 @@ class BoundsReport:
     witness: frozenset | None
     m: int | None
 
+    @property
+    def verdict(self) -> str:
+        if self.m is not None:
+            return f"M={self.m}"
+        upper = self.upper if self.upper is not None else "?"
+        return f"M in [{self.lower},{upper}]"
+
     def to_text(self) -> str:
         tags = " ".join(f"{name}={value}" for name, value in self.lower_bounds)
         upper = str(self.upper) if self.upper is not None else \
@@ -212,11 +219,7 @@ class BoundsReport:
             lines.append("witness: {" + ",".join(map(str, sorted(self.witness))) + "}")
         else:
             lines.append("witness: -")
-        if self.m is not None:
-            lines.append(f"verdict: M={self.m}")
-        else:
-            upper = self.upper if self.upper is not None else "?"
-            lines.append(f"verdict: M in [{self.lower},{upper}]")
+        lines.append(f"verdict: {self.verdict}")
         return "\n".join(lines)
 
 

@@ -15,7 +15,7 @@ from conftest import load_catalog
 from util import naive_closure, random_cubic_connected
 from zeroforcing import (adjacency_matrix, bounds_report, complete_graph,
                          counterexample16, degree_census, edge_connectivity,
-                         eigen_decomposition, enumerate_family, find_clique_minor,
+                         eigen_decomposition, family_members, find_clique_minor,
                          heawood_graph, is_zero_forcing_set, necklace,
                          permutation_prism, recognize_z3, small_graphs,
                          spanning_tree, twin_bound, verify_minor_model,
@@ -108,7 +108,7 @@ def test_criterion_5_family_characterization():
     with Criterion(5, "family members have Z=3; catalog converse (n<=12)",
                    limit=300.0):
         for order in range(4, 21):
-            for g in enumerate_family(order):
+            for _, g in family_members(order):
                 assert g.is_cubic() and g.is_connected()
                 assert edge_connectivity(g) >= 3
                 assert zero_forcing_number(g).z == 3

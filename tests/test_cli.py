@@ -1,18 +1,29 @@
 """Command-line behavior: record formats, pipes, error handling, exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import zeroforcing
 from util import naive_closure
-from zeroforcing import (cycle_graph, enumerate_family, heawood_graph, necklace,
-                         parse_graph6, path_graph, write_graph6,
-                         zero_forcing_number)
+from zeroforcing import (cycle_graph, family_members, heawood_graph, necklace,
+                         parse_graph6, path_graph, permutation_prism,
+                         write_graph6, zero_forcing_number)
 from zeroforcing.cli import main
 
 
+# the subprocess runs the package these tests import, wherever it was found
+SRC = str(Path(zeroforcing.__file__).parents[1])
+
+
 def run_cli(args, stdin=""):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "zeroforcing", *args],
-                          input=stdin, capture_output=True, text=True)
+                          input=stdin, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -50,7 +61,7 @@ def test_gen_matches_library(capsys):
     assert main(["gen", "necklace", "3"]) == 0
     assert capsys.readouterr().out == write_graph6(necklace(3)) + "\n"
     assert main(["gen", "family", "--order", "8"]) == 0
-    expected = "".join(write_graph6(g) + "\n" for g in enumerate_family(8))
+    expected = "".join(write_graph6(g) + "\n" for _, g in family_members(8))
     assert capsys.readouterr().out == expected
 
 
@@ -91,6 +102,20 @@ def test_closure_black_flag(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "black={0,1,2,3,4}" in out
     assert "trace=[0>1,1>2,2>3,3>4]" in out
+
+
+def test_closure_bad_black_is_a_usage_error():
+    code, out, err = run_cli(["closure", "--black", "0,x"], stdin="C~\nC~\n")
+    assert code == 2
+    assert out == ""
+    assert err.count("argument --black") == 1
+
+
+def test_gen_prism_sigma_needs_two_indices():
+    code, out, err = run_cli(["gen", "prism", "6", "sigma=2"])
+    assert code == 1
+    assert out == ""
+    assert err == "zeroforcing: usage: gen prism N [sigma=i,j]\n"
 
 
 def test_spantree_text_and_graph6(capsys, tmp_path):
@@ -178,3 +203,21 @@ def test_census_budget_reports_forcing_floor(tmp_path):
     row = out.strip().split("\t")
     assert row[4] == ">=5"
     assert row[8] == "M in [6,?]"
+
+
+@pytest.mark.parametrize("argv", [["closure", "--black", "0"], ["zf"], ["bounds"],
+                                  ["recognize"], ["spantree"], ["census"]],
+                         ids=lambda argv: argv[0])
+def test_bad_records_are_skipped_with_a_note(argv, tmp_path, capsys):
+    # `C` is malformed; `?` (no vertices) parses but no subcommand computes it
+    good = ["C~", write_graph6(permutation_prism(4))]
+    path = tmp_path / "good.g6"
+    path.write_text("".join(line + "\n" for line in good))
+    assert main([*argv, "--in", str(path)]) == 0
+    expected = capsys.readouterr().out
+    path.write_text(f"{good[0]}\nC\n?\n{good[1]}\n")
+    assert main([*argv, "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    notes = captured.err.splitlines()
+    assert [note.split(":")[0] for note in notes] == ["line 2", "line 3"]

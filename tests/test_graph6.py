@@ -2,8 +2,10 @@
 
 import random
 
+import networkx
 import pytest
 
+from conftest import DATA_DIR
 from util import random_graph
 from zeroforcing import (Graph, Graph6Error, complete_graph, iter_graph6,
                          parse_graph6, path_graph, write_graph6)
@@ -65,6 +67,22 @@ def test_zero_vertices_round_trip():
     assert write_graph6(Graph(0)) == "?"
     assert parse_graph6(write_graph6(Graph(0))) == Graph(0)
     assert reference_encode(Graph(0)) == "?"
+
+
+def test_matches_networkx():
+    # every graph with 1-7 vertices, every cubic fixture (4-14), and n = 0
+    hosts = [networkx.empty_graph(0)] + list(networkx.graph_atlas_g()[1:])
+    for order in range(4, 15, 2):
+        with open(DATA_DIR / f"cubic{order:02d}.g6", "rb") as fh:
+            hosts += [networkx.from_graph6_bytes(line.strip()) for line in fh]
+    assert len(hosts) == 1 + 1252 + 621
+    for h in hosts:
+        n = h.number_of_nodes()
+        g = Graph(n, list(h.edges()))
+        record = networkx.to_graph6_bytes(h, nodes=range(n), header=False)
+        record = record.decode().rstrip("\n")
+        assert write_graph6(g) == record
+        assert parse_graph6(record) == g
 
 
 def test_writer_range():

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from zeroforcing import Graph
+from zeroforcing import Graph, canonical_labelling
 
 
 def naive_closure(g: Graph, initial) -> set:
@@ -47,6 +47,17 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
                for u, v in g.edges):
             return True
     return False
+
+
+def canonical_mapping(g: Graph, h: Graph):
+    """Vertex map g -> h from two canonical labellings, or None when the
+    certificates differ: g's vertex at each canonical position goes to h's
+    vertex at the same position (the map `recognize_z3` builds)."""
+    cert_g, order_g = canonical_labelling(g)
+    cert_h, order_h = canonical_labelling(h)
+    if cert_g != cert_h:
+        return None
+    return tuple(w for _, w in sorted(zip(order_g, order_h)))
 
 
 def mapping_is_valid(g: Graph, h: Graph, mapping) -> bool:
