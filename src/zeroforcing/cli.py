@@ -101,11 +101,12 @@ def _closure(args, line, g):
 
 def _zf(args, line, g):
     result = zero_forcing_number(g, budget=args.budget)
-    if not result.exact:
-        return f"{line}  Z>={result.lower_bound}  witness=-", False
+    z = str(result.z) if result.exact else f">={result.lower_bound}"
+    witness = _fmt_set(result.witness) if result.exact else "-"
     if args.format == "tsv":
-        return f"{line}\t{result.z}\t{_fmt_set(result.witness)}", True
-    return f"{line}  Z={result.z}  witness={_fmt_set(result.witness)}", True
+        return f"{line}\t{z}\t{witness}", result.exact
+    relation = "=" if result.exact else ""
+    return f"{line}  Z{relation}{z}  witness={witness}", result.exact
 
 
 def _bounds(args, line, g):
@@ -152,17 +153,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="zero forcing numbers, cubic families, and nullity bounds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def record_command(name, run, help, formats=("text",), sep=""):
-        # sep is printed between two output records
+    def record_command(name, run, help, formats=None, budget=False, sep=""):
+        # sep is printed between two output records; only subcommands that
+        # read --format or --budget get them
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run, sep=sep)
         p.add_argument("--in", dest="infile", default=None,
                        help="input file of graph6 records (default stdin)")
         p.add_argument("--out", dest="outfile", default=None,
                        help="output file (default stdout)")
-        p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--budget", type=int, default=None,
-                       help="largest witness size the solver may try")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        if budget:
+            p.add_argument("--budget", type=int, default=None,
+                           help="largest witness size the solver may try")
         return p
 
     p = sub.add_parser("gen", help="emit generated graphs as graph6")
@@ -175,14 +179,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = record_command("closure", _closure, "derived coloring of an initial set")
     p.add_argument("--black", type=_vertex_list, default="",
                    help="initial black set, e.g. 0,1,2")
-    record_command("zf", _zf, "exact zero forcing number", formats=("text", "tsv"))
-    record_command("bounds", _bounds, "maximum-nullity sandwich report", sep="\n")
+    record_command("zf", _zf, "exact zero forcing number", formats=("text", "tsv"),
+                   budget=True)
+    record_command("bounds", _bounds, "maximum-nullity sandwich report",
+                   budget=True, sep="\n")
     record_command("recognize", _recognize, "zero-forcing-number-3 membership")
     p = record_command("spantree", _spantree, "layered spanning tree",
                        formats=("text", "graph6"))
     p.add_argument("--root", type=int, default=0)
     record_command("census", _census, "TSV invariants over a graph6 stream",
-                   formats=("tsv",))
+                   budget=True)
     return parser
 
 

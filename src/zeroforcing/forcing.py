@@ -1,20 +1,16 @@
 """Color-change closure and the exact zero forcing solver.
 
-Black sets are manipulated as integer bitmasks.  The solver works in two
-phases on each connected component:
+Black sets are manipulated as integer bitmasks.  The solver runs one search
+per connected component: Dijkstra over closed sets (the wavefront algorithm;
+Brimkov, Fast and Hicks, arXiv:1704.02065).  From close(empty), a step at v
+buys v, if white, and every white neighbor of v but the highest, and takes
+the closure; v then forces that last neighbor.  The cheapest path to the full
+set costs Z, and what it bought is the witness.
 
-1. Z by Dijkstra over closed sets (the wavefront algorithm; Brimkov, Fast and
-   Hicks, arXiv:1704.02065).  From close(empty), a step at v buys v and all
-   but one of its white neighbors and takes the closure; v then forces the
-   last one.  The cheapest path to the full set costs Z.
-2. The witness, by a depth-first descent at size Z that picks members from
-   the highest vertex down, each at the lowest position first.  That visits
-   the Z-subsets in colexicographic order (numeric order of masks), so the
-   first forcing one is the colex-least minimum witness.  Two prunes keep the
-   descent short, and both skip only sets that cannot force: a vertex already
-   black in the closure of the higher picks is never picked (the set without
-   it would force at size Z-1), and a branch is dropped when its picks plus
-   every vertex still below it do not force (closure is monotone).
+The bought set forces: by induction along the path, its closure contains
+every state on the path, because at each step v and all its other neighbors
+are black in it, so v forces the one left.  The steps buy disjoint sets of
+vertices white at the time, so the witness has exactly Z members.
 """
 
 from __future__ import annotations
@@ -105,44 +101,49 @@ def _solve_component(g: Graph, comp, cap: int):
         for u in g.adj[v]:
             bits[index[v]] |= 1 << index[u]
     full = (1 << k) - 1
-    z = _wavefront(bits, full, cap)
-    if z is None:
+    found = _wavefront(bits, full, cap)
+    if found is None:
         if cap >= k:
             raise AssertionError("the full vertex set always forces")
         return None, min(cap + 1, k)
-    witness = _colex_least(bits, full, z, k, 0)
-    if witness is None:
-        raise AssertionError(f"no witness of size Z={z} found")
-    return z, frozenset(vs[i] for i in _mask_vertices(witness))
+    z, bought = found
+    if bought.bit_count() != z or _close_mask(bits, bought, full) != full:
+        raise AssertionError(f"the wavefront's witness of size Z={z} does not force")
+    return z, frozenset(vs[i] for i in _mask_vertices(bought))
 
 
 def _wavefront(bits, full: int, cap: int):
-    """Least cost of a path of steps from close(empty) to the full set, or None
-    if it exceeds cap.  A step at v buys v and all but one of its white
-    neighbors, after which v forces the last one; the cost is what was bought."""
-    closed = [nb | (1 << v) for v, nb in enumerate(bits)]  # N[v]
+    """(Z, bought mask) for the least cost path of steps from close(empty) to
+    the full set, or None if its cost exceeds cap.  A step at v buys v, if
+    white, and all but the highest of its white neighbors, after which v
+    forces that one; the cost is what was bought."""
+    closed = [(nb, nb | (1 << v)) for v, nb in enumerate(bits)]  # N(v), N[v]
     start = _close_mask(bits, 0, full)
-    best = {start: 0}
+    # state -> what the cheapest path found to it bought; the steps buy
+    # disjoint sets, so the path's cost is the size of that set
+    bought = {start: 0}
     heap = [(0, start)]
     while heap:
         cost, s = heapq.heappop(heap)
         if s == full:
-            return cost
-        if cost > best[s]:
+            return cost, bought[s]
+        if cost > bought[s].bit_count():
             continue
-        for nv in closed:
+        for nb, nv in closed:
             gained = nv & ~s
             if not gained:
                 continue
-            # all of N[v] outside s is bought but the neighbor v then forces;
-            # a white v with no white neighbor is bought alone.  (s is closed,
-            # so a black v never has exactly one white neighbor.)
-            t_cost = cost + max(gained.bit_count() - 1, 1)
+            # v forces its highest white neighbor and the step buys the rest;
+            # a white v with none is bought alone.  (s is closed, so a black v
+            # never has exactly one white neighbor: every step buys something.)
+            white_nb = gained & nb
+            step = gained ^ (1 << (white_nb.bit_length() - 1)) if white_nb else gained
+            t_cost = cost + step.bit_count()
             if t_cost > cap:
                 continue
             t = _close_mask(bits, s | gained, full)
-            if t_cost < best.get(t, cap + 1):
-                best[t] = t_cost
+            if t not in bought or t_cost < bought[t].bit_count():
+                bought[t] = bought[s] | step
                 heapq.heappush(heap, (t_cost, t))
                 if t == full:
                     # only a cheaper path to the full set matters from here on
@@ -150,34 +151,8 @@ def _wavefront(bits, full: int, cap: int):
     return None
 
 
-def _colex_least(bits, full: int, size: int, limit: int, black: int):
-    """Colex-least set of `size` vertices below `limit` whose union with the
-    closed set `black` forces, or None.  Members are picked from the highest
-    down, each at the lowest position that can still succeed.
-
-    Valid only when no smaller set forces: a vertex already in `black` would
-    make the set with it removed force, so it is never picked."""
-    if size == 0:
-        return 0 if black == full else None
-    # closure is monotone, so once black and every vertex up to p force, the
-    # same holds for every larger p; below that no completion can force
-    enough = False
-    for p in range(size - 1, limit):
-        if (black >> p) & 1:
-            continue
-        if not enough:
-            enough = _close_mask(bits, black | ((2 << p) - 1), full) == full
-            if not enough:
-                continue
-        rest = _colex_least(bits, full, size - 1, p,
-                            _close_mask(bits, black | (1 << p), full))
-        if rest is not None:
-            return rest | (1 << p)
-    return None
-
-
 def zero_forcing_number(g: Graph, budget: int | None = None) -> ZeroForcingResult:
-    """Exact zero forcing number with the colex-least minimum witness.
+    """Exact zero forcing number with a minimum forcing set as witness.
 
     Disconnected graphs are solved per component and summed.  With a budget,
     the search never considers witnesses larger than `budget` in total; an

@@ -163,6 +163,23 @@ def test_budget_exhaustion_exit_code(tmp_path):
     assert "Z>=5" in out
 
 
+def test_zf_tsv_exhausted_budget_row():
+    hw = write_graph6(heawood_graph())
+    code, out, _ = run_cli(["zf", "--format", "tsv", "--budget", "4"], stdin=hw + "\n")
+    assert code == 1
+    assert out == f"{hw}\t>=5\t-\n"
+
+
+@pytest.mark.parametrize("argv", [["recognize", "--budget", "1"],
+                                  ["census", "--format", "tsv"]],
+                         ids=lambda argv: argv[0])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv):
+    code, out, err = run_cli(argv, stdin="C~\n")
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
 def test_malformed_input_exits_one(tmp_path):
     path = tmp_path / "bad.g6"
     path.write_text("C\n")

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import load_catalog
 from util import naive_closure, naive_colex_least, random_graph
 from zeroforcing import (Graph, closure, complete_graph, connected_cubic_graphs,
-                         cycle_graph, heawood_graph, is_zero_forcing_set,
-                         path_graph, zero_forcing_number)
+                         cycle_graph, family_members, heawood_graph,
+                         is_zero_forcing_set, necklace, path_graph,
+                         zero_forcing_number)
 
 # every graph with 1 to 7 vertices, up to isomorphism (1252 graphs)
 ATLAS = [Graph(h.number_of_nodes(), list(h.edges()))
@@ -21,6 +23,18 @@ ATLAS = [Graph(h.number_of_nodes(), list(h.edges()))
 PIECES = Graph(11, list(complete_graph(4).edges)
                + [(u + 4, v + 4) for u, v in cycle_graph(4).edges]
                + [(8, 9), (9, 10)])
+
+
+def assert_forcing_witness(g, result, where=""):
+    """The witness has Z members and forces g under the naive closure."""
+    assert len(result.witness) == result.z, where
+    assert naive_closure(g, result.witness) == set(range(g.n)), where
+
+
+def assert_minimum_witness(g, result, where=""):
+    """Z equals brute force, and the witness is a forcing set of that size."""
+    assert result.z == naive_colex_least(g)[0], where
+    assert_forcing_witness(g, result, where)
 
 
 @st.composite
@@ -125,7 +139,7 @@ class TestSolver:
             assert result.z == 1
             assert result.witness == frozenset({0})
 
-    def test_k4_colex_least_witness(self):
+    def test_k4_pinned_witness(self):
         result = zero_forcing_number(complete_graph(4))
         assert (result.z, result.witness) == (3, frozenset({0, 1, 2}))
 
@@ -140,20 +154,27 @@ class TestSolver:
         rng = random.Random(12)
         for _ in range(120):
             g = random_graph(rng, rng.randint(1, 7), p=rng.random())
-            result = zero_forcing_number(g)
-            assert (result.z, result.witness) == naive_colex_least(g)
+            assert_minimum_witness(g, zero_forcing_number(g))
 
     def test_matches_naive_at_eight(self):
         rng = random.Random(13)
         for _ in range(60):
             g = random_graph(rng, 8, p=rng.random())
-            result = zero_forcing_number(g)
-            assert (result.z, result.witness) == naive_colex_least(g)
+            assert_minimum_witness(g, zero_forcing_number(g))
 
-    def test_colex_least_witness_on_every_small_graph(self):
+    def test_minimum_forcing_witness_on_every_small_graph(self):
         for i, g in enumerate(ATLAS, start=1):
-            result = zero_forcing_number(g)
-            assert (result.z, result.witness) == naive_colex_least(g), f"atlas {i}"
+            assert_minimum_witness(g, zero_forcing_number(g), f"atlas {i}")
+
+    def test_witness_forces_every_fixture_and_family_member(self):
+        graphs = [(f"cubic{order:02d} #{i}", g) for order in range(4, 15, 2)
+                  for i, g in enumerate(load_catalog(order), start=1)]
+        assert len(graphs) == 621
+        graphs += [(spec.label(), g) for order in range(4, 19)
+                   for spec, g in family_members(order)]
+        graphs += [(f"necklace({b})", necklace(b)) for b in (3, 4, 5)]
+        for label, g in graphs:
+            assert_forcing_witness(g, zero_forcing_number(g), label)
 
     def test_disconnected_adds_components(self):
         result = zero_forcing_number(PIECES)
@@ -187,8 +208,7 @@ class TestSolver:
     def test_budget_boundary_heawood(self):
         g = heawood_graph()
         assert zero_forcing_number(g, budget=5).lower_bound == 6
-        result = zero_forcing_number(g, budget=6)
-        assert (result.z, result.witness) == (6, frozenset({0, 1, 2, 7, 8, 9}))
+        assert_minimum_witness(g, zero_forcing_number(g, budget=6))
 
     def test_budget_boundary_disconnected(self):
         for b in (3, 4, 5):
