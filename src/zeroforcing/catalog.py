@@ -14,6 +14,12 @@ counts of connected cubic graphs (1, 2, 5, 19, 85, 509, ... for orders
 4, 6, 8, ...).  A count mismatch raises instead of returning a silent
 undercount.
 
+Both catalogs list their members in ascending certificate order, each class
+represented by the first child that reached it.  So the order follows the
+certificate values: a change to `canonical_labelling` that changes them (its
+root coloring, say) reorders the catalogs and the `tests/data` fixtures
+built from them, and may pick other representatives, but keeps the classes.
+
 `small_graphs` enumerates all graphs up to isomorphism on a given vertex
 count by one-vertex extensions, with the same count guard (1, 2, 4, 11, 34,
 156, 1044 for 1..7 vertices).

@@ -204,12 +204,35 @@ def _refine(g: Graph, colors):
         colors = new
 
 
+def _distance_profile(bits, v: int) -> tuple:
+    """How many vertices lie at distance 1, 2, ... from v (BFS over bitmasks)."""
+    seen = frontier = 1 << v
+    profile = []
+    while True:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= bits[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        if not frontier:
+            return tuple(profile)
+        seen |= frontier
+        profile.append(frontier.bit_count())
+
+
 def canonical_labelling(g: Graph) -> tuple:
     """(certificate, order): equal certificates iff the graphs are isomorphic;
     order[i] is the vertex at canonical position i.
 
     Individualization-refinement: each node individualizes one vertex of the
     first non-singleton color class and refines, down to discrete colorings.
+    The root coloring is each vertex's distance profile, ranked: the counts
+    of vertices at distance 1, 2, ... from it (the first count is its
+    degree).  An isomorphism preserves distances, so it maps each vertex to
+    one with the same profile, and ranking the sorted set of profiles gives
+    isomorphic graphs the same colors on corresponding vertices.  On a
+    regular graph this splits the root where degrees alone would not.
     The certificate is (n, least adjacency bitstring over those leaves), and
     `order` comes from the first leaf that gives it.  First-path automorphism
     pruning (McKay & Piperno, Practical graph isomorphism II, 2014): a leaf
@@ -275,8 +298,9 @@ def canonical_labelling(g: Graph) -> tuple:
             explored.append(v)
         return depth
 
-    degs = sorted(set(g.degree(v) for v in range(n)))
-    rec(_refine(g, [degs.index(g.degree(v)) for v in range(n)]), True)
+    profiles = [_distance_profile(g.bits, v) for v in range(n)]
+    rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
+    rec(_refine(g, [rank[p] for p in profiles]), True)
     return (n, best[0]), tuple(best[1])
 
 

@@ -212,6 +212,49 @@ class TestCanonicalCertificate:
             assert canonical_certificate(h) == canonical_certificate(g)
             assert mapping_is_valid(g, h, canonical_mapping(g, h))
 
+    def test_cubic_fixtures_invariant_under_relabeling(self):
+        # the root coloring is ranked distance profiles, which differ between
+        # the vertices of most cubic graphs, so these inputs test the seed
+        rng = random.Random(9)
+        fixtures = [g for order in range(4, 15, 2) for g in load_catalog(order)]
+        assert len(fixtures) == 621
+        for g in fixtures:
+            h = permuted_copy(rng, g)
+            assert canonical_certificate(h) == canonical_certificate(g)
+            assert mapping_is_valid(g, h, canonical_mapping(g, h))
+
+    def test_uniform_distance_profiles(self):
+        # every vertex has the same profile, so the seed splits nothing and
+        # the search carries the work; the disconnected pair shares the
+        # profile multiset {(3,) x 4, (3, 2) x 6} but not the isomorphism class
+        rng = random.Random(10)
+        petersen = networkx.petersen_graph()
+        k4 = complete_graph(4)
+        prism = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                          (0, 3), (1, 4), (2, 5)])
+        connected = [Graph(10, petersen.edges()), heawood_graph(),
+                     complete_bipartite(4, 4), permutation_prism(8)]
+        pairs = [(k4, complete_bipartite(3, 3)), (k4, prism)]
+        disconnected = [Graph(10, list(a.edges) +
+                              [(u + 4, v + 4) for u, v in b.edges])
+                        for a, b in pairs]
+
+        def profiles(g):
+            distances = networkx.floyd_warshall_numpy(to_networkx(g))
+            return sorted(sorted(row) for row in distances.tolist())
+
+        for g in connected:
+            assert len({tuple(p) for p in profiles(g)}) == 1
+        assert profiles(disconnected[0]) == profiles(disconnected[1])
+        inputs = connected + disconnected
+        for g in inputs:
+            h = permuted_copy(rng, g)
+            assert canonical_certificate(h) == canonical_certificate(g)
+            assert mapping_is_valid(g, h, canonical_mapping(g, h))
+        for g, h in itertools.combinations(inputs, 2):
+            same = canonical_certificate(g) == canonical_certificate(h)
+            assert same == networkx.is_isomorphic(to_networkx(g), to_networkx(h))
+
     def test_atlas_graphs(self):
         # every graph with 1-7 vertices, each once up to isomorphism
         rng = random.Random(8)
