@@ -7,10 +7,10 @@ from .families import (ColoredGraph, FamilySpec, apex_k1, build_family, compound
                        necklace, permutation_prism)
 from .forcing import (DerivedColoring, ZeroForcingResult, closure,
                       is_zero_forcing_set, zero_forcing_number)
-from .graph6 import Graph6Error, iter_graph6, parse_graph6, write_graph6
+from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import (Graph, canonical_certificate, canonical_labelling,
                      complete_bipartite, complete_graph, cycle_graph,
-                     edge_connectivity, girth, path_graph)
+                     edge_connectivity, path_graph)
 from .recognition import RecognitionResult, recognize_z3
 from .spanning import DegreeCensus, SpanningTree, degree_census, spanning_tree
 from .spectral import (BoundsReport, EigenCluster, MinorModel, SpectralReport,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, _mask_vertices
 
 
 @dataclass(frozen=True)
@@ -84,40 +84,29 @@ def is_zero_forcing_set(g: Graph, vertices) -> bool:
     return _close_mask(g.bits, _vertex_mask(g, vertices), full) == full
 
 
-def _mask_vertices(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _solve_component(g: Graph, comp, cap: int):
-    """Exact Z on one component; returns (z, witness set) or (None, lower bound)."""
-    vs = sorted(comp)
-    index = {v: i for i, v in enumerate(vs)}
-    k = len(vs)
-    bits = [0] * k
-    for v in vs:
-        for u in g.adj[v]:
-            bits[index[v]] |= 1 << index[u]
-    full = (1 << k) - 1
-    found = _wavefront(bits, full, cap)
+    """Exact Z on one component; returns (z, witness set) or (None, lower bound).
+    A component is closed under adjacency, so the search runs on g's own
+    bitmasks with the component as the full set."""
+    full = _vertex_mask(g, comp)
+    found = _wavefront(g.bits, full, cap)
     if found is None:
-        if cap >= k:
+        if cap >= len(comp):
             raise AssertionError("the full vertex set always forces")
-        return None, min(cap + 1, k)
+        return None, min(cap + 1, len(comp))
     z, bought = found
-    if bought.bit_count() != z or _close_mask(bits, bought, full) != full:
+    if bought.bit_count() != z or _close_mask(g.bits, bought, full) != full:
         raise AssertionError(f"the wavefront's witness of size Z={z} does not force")
-    return z, frozenset(vs[i] for i in _mask_vertices(bought))
+    return z, frozenset(_mask_vertices(bought))
 
 
 def _wavefront(bits, full: int, cap: int):
     """(Z, bought mask) for the least cost path of steps from close(empty) to
     the full set, or None if its cost exceeds cap.  A step at v buys v, if
     white, and all but the highest of its white neighbors, after which v
-    forces that one; the cost is what was bought."""
-    closed = [(nb, nb | (1 << v)) for v, nb in enumerate(bits)]  # N(v), N[v]
+    forces that one; the cost is what was bought.  Steps are taken at the
+    vertices of `full`, which must be closed under adjacency."""
+    closed = [(bits[v], bits[v] | (1 << v)) for v in _mask_vertices(full)]  # N(v), N[v]
     start = _close_mask(bits, 0, full)
     # state -> what the cheapest path found to it bought; the steps buy
     # disjoint sets, so the path's cost is the size of that set

@@ -79,18 +79,3 @@ def write_graph6(g: Graph) -> str:
         out.append(chr(63 + (val << (6 - count))))
     return "".join(out)
 
-
-def iter_graph6(lines):
-    """Yield (line_number, Graph) from an iterable of text lines.
-
-    Blank lines are skipped; malformed records raise Graph6Error annotated
-    with the line number.
-    """
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            yield ln, parse_graph6(line)
-        except Graph6Error as exc:
-            raise Graph6Error(f"line {ln}: {exc.message}", exc.offset) from None

@@ -2,13 +2,14 @@
 
 Vertices are dense integers 0..n-1.  Adjacency is kept both as frozensets (for
 readable code) and as integer bitmasks (for the hot combinatorial loops); the
-masks are Python integers, so they set no limit on the vertex count.
+masks are Python integers, so they set no limit on the vertex count.  One
+breadth-first search over the masks, `_layers`, serves components, distance
+profiles, spanning-tree layers and the augmenting paths of edge connectivity.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 
 
 class Graph:
@@ -58,9 +59,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> frozenset:
-        return self.adj[v]
-
     def degree_sequence(self) -> tuple:
         return tuple(sorted(len(s) for s in self.adj))
 
@@ -75,22 +73,12 @@ class Graph:
 
     def components(self) -> tuple:
         """Connected components as tuples of sorted vertex ids."""
-        seen = [False] * self.n
         out = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = []
-            queue = deque([s])
-            seen[s] = True
-            while queue:
-                u = queue.popleft()
-                comp.append(u)
-                for v in self.adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        queue.append(v)
-            out.append(tuple(sorted(comp)))
+        rest = (1 << self.n) - 1
+        while rest:
+            comp = sum(_layers(self.bits, rest & -rest))    # disjoint layers
+            rest ^= comp
+            out.append(tuple(_mask_vertices(comp)))
         return tuple(out)
 
     def is_connected(self) -> bool:
@@ -103,6 +91,30 @@ class Graph:
         edges = [(index[u], index[v]) for u, v in self.edges
                  if u in index and v in index]
         return Graph(len(vs), edges)
+
+
+def _mask_vertices(mask: int):
+    """The vertices of a bitmask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _layers(bits, start: int):
+    """Breadth-first layers from the vertex set `start`, as bitmasks: `start`,
+    then each set of vertices first reached by one more arc, where bits[u]
+    holds u's out-neighbours.  A caller may stop at any layer."""
+    seen = frontier = start
+    while frontier:
+        yield frontier
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= bits[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
 
 
 # --- standard constructions used throughout the tests ---
@@ -125,51 +137,39 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
-def girth(g: Graph) -> int | None:
-    """Length of a shortest cycle, or None if the graph is acyclic."""
-    best = None
-    for s in range(g.n):
-        dist = {s: 0}
-        parent = {s: -1}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif parent[u] != v:
-                    cyc = dist[u] + dist[v] + 1
-                    if best is None or cyc < best:
-                        best = cyc
-    return best
-
-
 # --- edge connectivity by unit-capacity max-flow ---
 
 def _max_flow_unit(g: Graph, s: int, t: int, limit: int) -> int:
-    """Number of edge-disjoint s-t paths (each undirected edge used once),
-    counted up to `limit`."""
-    cap = [dict.fromkeys(g.adj[u], 1) for u in range(g.n)]
+    """Number of edge-disjoint s-t paths, counted up to `limit`, by shortest
+    augmenting paths found with `_layers` over the residual.
+
+    Each edge carries one unit, either way.  res starts as a copy of g.bits,
+    and res[u] holds each v with residual capacity u -> v: an unused edge
+    has it both ways, and once a unit crosses u -> v only v -> u is left.
+    A search stops at t's layer, and the path is walked back from t one
+    layer at a time, each step to the highest u with residual u -> v.
+    """
+    res = list(g.bits)
     flow = 0
     while flow < limit:
-        prev = [-1] * g.n
-        prev[s] = s
-        queue = deque([s])
-        while queue and prev[t] == -1:
-            u = queue.popleft()
-            for v, c in cap[u].items():
-                if c > 0 and prev[v] == -1:
-                    prev[v] = u
-                    queue.append(v)
-        if prev[t] == -1:
+        layers = []
+        for layer in _layers(res, 1 << s):
+            layers.append(layer)
+            if layer >> t & 1:
+                break
+        else:
             return flow
         v = t
-        while v != s:
-            u = prev[v]
-            cap[u][v] -= 1
-            cap[v][u] = cap[v].get(u, 0) + 1
+        for layer in reversed(layers[:-1]):
+            back = layer & g.bits[v]
+            u = back.bit_length() - 1
+            while not res[u] >> v & 1:
+                back ^= 1 << u
+                u = back.bit_length() - 1
+            if res[v] >> u & 1:     # a unit now crosses u -> v
+                res[u] ^= 1 << v
+            else:                   # it cancels the unit that crossed v -> u
+                res[v] |= 1 << u
             v = u
         flow += 1
     return flow
@@ -179,8 +179,9 @@ def edge_connectivity(g: Graph) -> int:
     """Minimum number of edges whose removal disconnects g; 0 if already disconnected.
 
     Computed as the minimum over all t of the s-t max flow from a fixed s,
-    which equals the global minimum edge cut.  Each flow stops at the
-    smallest cut found so far, starting from the minimum degree.
+    which equals the global minimum edge cut.  Each flow is a fresh residual
+    on g's bitmasks (`_max_flow_unit`) and stops at the smallest cut found
+    so far, starting from the minimum degree.
     """
     if g.n <= 1 or not g.is_connected():
         return 0
@@ -205,20 +206,8 @@ def _refine(g: Graph, colors):
 
 
 def _distance_profile(bits, v: int) -> tuple:
-    """How many vertices lie at distance 1, 2, ... from v (BFS over bitmasks)."""
-    seen = frontier = 1 << v
-    profile = []
-    while True:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= bits[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & ~seen
-        if not frontier:
-            return tuple(profile)
-        seen |= frontier
-        profile.append(frontier.bit_count())
+    """How many vertices lie at distance 1, 2, ... from v."""
+    return tuple(map(int.bit_count, _layers(bits, 1 << v)))[1:]
 
 
 def canonical_labelling(g: Graph) -> tuple:

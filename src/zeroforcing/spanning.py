@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, _layers, _mask_vertices
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,11 @@ def spanning_tree(g: Graph, root: int) -> SpanningTree:
     if not g.is_connected():
         raise ValueError("spanning tree needs a connected graph")
 
-    level = [-1] * g.n
-    level[root] = 0
-    layers = [[root]]
-    frontier = [root]
-    while frontier:
-        nxt = sorted({v for u in frontier for v in g.adj[u] if level[v] == -1})
-        for v in nxt:
-            level[v] = len(layers)
-        if nxt:
-            layers.append(nxt)
-        frontier = nxt
+    layers = [frozenset(_mask_vertices(layer)) for layer in _layers(g.bits, 1 << root)]
+    level = [0] * g.n
+    for depth, layer in enumerate(layers):
+        for v in layer:
+            level[v] = depth
 
     deleted = set()
     for u, v in g.edges:
@@ -73,7 +67,7 @@ def spanning_tree(g: Graph, root: int) -> SpanningTree:
     if len(tree.edges) != g.n - 1:
         raise AssertionError("layer rules did not leave a spanning tree")
     return SpanningTree(tree=tree, root=root,
-                        layers=tuple(frozenset(layer) for layer in layers),
+                        layers=tuple(layers),
                         deleted=frozenset(deleted))
 
 

@@ -19,8 +19,8 @@ def data_dir() -> pathlib.Path:
 
 def load_catalog(order: int):
     """Connected cubic graphs of one order from the shipped graph6 files."""
-    from zeroforcing import iter_graph6
+    from zeroforcing import parse_graph6
 
     path = DATA_DIR / f"cubic{order:02d}.g6"
     with open(path) as fh:
-        return [g for _, g in iter_graph6(fh)]
+        return [parse_graph6(line) for line in fh if line.strip()]

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import DATA_DIR
 from util import random_graph
-from zeroforcing import (Graph, Graph6Error, complete_graph, iter_graph6,
-                         parse_graph6, path_graph, write_graph6)
+from zeroforcing import (Graph, Graph6Error, complete_graph, parse_graph6,
+                         path_graph, write_graph6)
 
 
 def reference_encode(g: Graph) -> str:
@@ -124,12 +124,3 @@ def test_nonzero_padding_bits():
 def test_empty_record():
     with pytest.raises(Graph6Error, match="empty"):
         parse_graph6("")
-
-
-def test_iter_graph6_line_numbers():
-    lines = ["C~", "", "Ch"]
-    parsed = list(iter_graph6(lines))
-    assert [ln for ln, _ in parsed] == [1, 3]
-    assert parsed[0][1] == complete_graph(4)
-    with pytest.raises(Graph6Error, match="line 2"):
-        list(iter_graph6(["C~", "C" + chr(30)]))

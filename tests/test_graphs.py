@@ -12,8 +12,9 @@ from conftest import load_catalog
 from util import (brute_force_isomorphic, canonical_mapping, mapping_is_valid,
                   permuted_copy, random_connected_graph, random_graph)
 from zeroforcing import (Graph, canonical_certificate, complete_bipartite,
-                         complete_graph, cycle_graph, edge_connectivity, girth,
-                         heawood_graph, necklace, path_graph, permutation_prism)
+                         complete_graph, cycle_graph, edge_connectivity,
+                         heawood_graph, necklace, parse_graph6, path_graph,
+                         permutation_prism)
 
 
 def to_networkx(g: Graph) -> networkx.Graph:
@@ -75,11 +76,22 @@ class TestGraphType:
         g = complete_graph(5).induced([1, 3, 4])
         assert g == complete_graph(3)
 
-    def test_girth(self):
-        assert girth(complete_graph(4)) == 3
-        assert girth(cycle_graph(7)) == 7
-        assert girth(path_graph(6)) is None
-        assert girth(complete_bipartite(2, 3)) == 4
+    def test_components_match_networkx(self):
+        # every graph with 1-7 vertices, the empty graph, and random graphs
+        # up to 80 vertices, past the 62 a graph6 record can hold
+        rng = random.Random(12)
+        hosts = list(networkx.graph_atlas_g()[1:])
+        hosts.append(networkx.empty_graph(0))
+        for _ in range(60):
+            n = rng.randint(8, 80)
+            hosts.append(networkx.gnp_random_graph(n, rng.uniform(0.2, 3) / n,
+                                                   seed=rng.randrange(1 << 30)))
+        assert sum(h.number_of_nodes() >= 63 for h in hosts) >= 5
+        for h in hosts:
+            g = Graph(h.number_of_nodes(), list(h.edges()))
+            expected = sorted(tuple(sorted(c)) for c in networkx.connected_components(h))
+            assert g.components() == tuple(expected), h.edges()
+            assert g.is_connected() == (g.n > 0 and networkx.is_connected(h))
 
 
 class TestEdgeConnectivity:
@@ -124,11 +136,46 @@ class TestEdgeConnectivity:
                 assert Graph(g.n, g.edges - set(fewer)).is_connected()
 
     def test_matches_networkx(self):
-        # every graph with 1-7 vertices, then every cubic fixture (4-14)
+        # every graph with 1-7 vertices, every cubic fixture (4-14), random
+        # graphs of 8-80 vertices (sparse and dense, some of them
+        # disconnected, and some joined in pairs by a bridge), and flows that
+        # cancel a unit
         hosts = list(networkx.graph_atlas_g()[1:])
         hosts += [networkx.Graph(list(g.edges))
                   for order in range(4, 15, 2) for g in load_catalog(order)]
         assert len(hosts) == 1252 + 621
+        rng = random.Random(13)
+
+        def gnp(n, p):
+            return networkx.gnp_random_graph(n, p, seed=rng.randrange(1 << 30))
+
+        for _ in range(30):
+            n = rng.randint(8, 80)
+            sparse = rng.random() < 0.7
+            hosts.append(gnp(n, rng.choice((1.5, 3, 6)) / n if sparse
+                             else rng.uniform(0.3, 0.8)))
+        for _ in range(10):
+            a, b = rng.randint(4, 40), rng.randint(4, 40)
+            pair = networkx.disjoint_union(gnp(a, 0.5), gnp(b, 0.5))
+            pair.add_edge(rng.randrange(a), a + rng.randrange(b))
+            hosts.append(pair)
+        # a 4-regular graph with kappa 4 and a cubic one with kappa 3: from
+        # vertex 1 and vertex 26 respectively, one augmenting path sends a
+        # unit back over an edge an earlier path crossed, and the next path
+        # crosses that edge again, so kappa is found only if the cancelled
+        # edge regains both directions.  Each vertex in turn becomes the
+        # source, vertex 0, with the others kept in order and in reverse.
+        for record in ("OAIAHIg?q_@@SBE`OMDG_",
+                       "[??_AH_C??_P??@GAA_O?_???G??AC_?GGAA?"
+                       "__???W@?A?o_??G?_@?G@@???c_"):
+            h = to_networkx(parse_graph6(record))
+            for s in h:
+                rest = [v for v in h if v != s]
+                for order in ([s] + rest, [s] + rest[::-1]):
+                    hosts.append(networkx.relabel_nodes(
+                        h, {v: i for i, v in enumerate(order)}))
+        kappas = {networkx.edge_connectivity(h) for h in hosts[1252 + 621:]}
+        assert {0, 1} <= kappas and max(kappas) >= 3
         for h in hosts:
             g = Graph(h.number_of_nodes(), list(h.edges()))
             assert edge_connectivity(g) == networkx.edge_connectivity(h), h.edges()
