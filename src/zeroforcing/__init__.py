@@ -1,10 +1,11 @@
 """Zero forcing numbers, cubic graph families, and maximum-nullity bounds."""
 
 from .catalog import connected_cubic_graphs, small_graphs
-from .families import (ColoredGraph, FamilySpec, apex_k1, build_family, compound,
-                       counterexample16, distinct_assemblies, family_index,
-                       family_members, heawood_graph, ladder_m, ladder_t,
-                       necklace, permutation_prism)
+from .families import (ColoredGraph, FamilySpec, apex_k1, assemblies,
+                       block_sequences, build_family, compound, counterexample16,
+                       distinct_assemblies, family_index, family_members,
+                       heawood_graph, ladder_m, ladder_t, necklace,
+                       permutation_prism)
 from .forcing import (DerivedColoring, ZeroForcingResult, closure,
                       is_zero_forcing_set, zero_forcing_number)
 from .graph6 import Graph6Error, parse_graph6, write_graph6

@@ -1,9 +1,11 @@
 """Constructors for every named graph and parameterized family used by the library.
 
 The block builders (`ladder_t`, `ladder_m`) return ColoredGraph values whose
-tags drive the `compound` and `apex_k1` assembly operators; the remaining
-constructors return plain Graphs.  Vertex labelings are documented on each
-constructor so drawings can be cross-checked.
+tags drive the `compound` and `apex_k1` assembly operators.  `build_family`
+assembles a whole block sequence in one pass and builds the same graph as
+that chain of operators; the remaining constructors return plain Graphs.
+Vertex labelings are documented on each constructor so drawings can be
+cross-checked.
 """
 
 from __future__ import annotations
@@ -138,52 +140,46 @@ class FamilySpec:
 _BUILDERS = {"M": ladder_m, "T": ladder_t}
 
 
+@lru_cache(maxsize=None)
+def _block(kind: str, idx: int) -> tuple:
+    """(vertex count, edges, sorted attachment set, sorted white set) of one block."""
+    block = _BUILDERS[kind](idx)
+    return (block.graph.n, tuple(block.graph.edges),
+            tuple(sorted(block.attachment)), tuple(sorted(block.white)))
+
+
 def build_family(spec: FamilySpec) -> Graph:
-    """Assemble the graph a FamilySpec describes: chained compounds, then apex."""
+    """Assemble the graph a FamilySpec describes, in one pass.
+
+    The result equals apex_k1 of the chain of `compound`s over the blocks:
+    each block is shifted past the vertices before it, and junction j joins
+    the sorted white set on its left to the sorted attachment set on its
+    right by matchings[j].  The chain's apex also takes each vertex still
+    pendant after a junction, but a block's pendants lie in its attachment
+    set and get junction edges, so only the first block's attachment set is
+    left for the apex.
+    """
     if not spec.blocks or spec.blocks[-1][0] != "T":
         raise ValueError("block sequence must end with a T block")
     if len(spec.matchings) != len(spec.blocks) - 1:
         raise ValueError("need one matching per junction")
-    current = _BUILDERS[spec.blocks[0][0]](spec.blocks[0][1])
+    n, edges, targets, white = _block(*spec.blocks[0])
+    edges = list(edges)
     for (kind, idx), perm in zip(spec.blocks[1:], spec.matchings):
-        nxt = _BUILDERS[kind](idx)
-        a = sorted(current.white)
-        b = sorted(nxt.attachment)
-        f = {a[i]: b[perm[i]] for i in range(len(a))}
-        current = compound(current, nxt, f)
-    return apex_k1(current)
+        size, block_edges, attachment, block_white = _block(kind, idx)
+        if len(white) != len(attachment) or sorted(perm) != list(range(len(white))):
+            raise ValueError(f"matching {perm} is no bijection from {len(white)} "
+                             f"white to {len(attachment)} attachment vertices")
+        edges += [(u + n, v + n) for u, v in block_edges]
+        edges += [(u, attachment[i] + n) for u, i in zip(white, perm)]
+        white = [v + n for v in block_white]
+        n += size
+    edges += [(n, v) for v in targets]
+    return Graph(n + 1, edges)
 
 
-def distinct_assemblies(blocks: tuple) -> dict:
-    """The distinct members one block sequence assembles into under every
-    junction bijection, as certificate -> (spec, graph, canonical order).
-
-    Results are validated (cubic, connected); each isomorphism class keeps
-    its first spec, in a deterministic order.
-    """
-    out = {}
-    for perms in itertools.product(itertools.permutations(range(3)),
-                                   repeat=len(blocks) - 1):
-        spec = FamilySpec(blocks=blocks, matchings=perms)
-        g = build_family(spec)
-        if g.is_cubic() and g.is_connected():
-            cert, order = canonical_labelling(g)
-            out.setdefault(cert, (spec, g, order))
-    return out
-
-
-@lru_cache(maxsize=None)
-def family_index(order: int) -> MappingProxyType:
-    """Every distinct family member of the given order, as certificate ->
-    (spec, graph, canonical order) in a deterministic insertion order.
-
-    Every block sequence of that assembled order goes through
-    `distinct_assemblies`; a class that several sequences build keeps its
-    first spec.  The mapping is cached, so it is handed out read-only.
-    """
-    if order < 4:
-        raise ValueError("family members have at least 4 vertices")
-    out = {}
+def block_sequences(order: int):
+    """Every block sequence whose assemblies have the given order, in index order."""
     # order = 1 (apex) + sum over M blocks (2n_i + 4) + (2m + 3)
     budget = order - 4
     for t in range(budget // 4 + 1):
@@ -193,12 +189,49 @@ def family_index(order: int) -> MappingProxyType:
         for m in range(rest // 2 + 1):
             tail = rest // 2 - m
             for seq in itertools.product(range(tail + 1), repeat=t):
-                if sum(seq) != tail:
-                    continue
-                blocks = tuple([("M", ni) for ni in seq] + [("T", m)])
-                for cert, entry in distinct_assemblies(blocks).items():
-                    out.setdefault(cert, entry)
-    return MappingProxyType(out)
+                if sum(seq) == tail:
+                    yield tuple([("M", ni) for ni in seq] + [("T", m)])
+
+
+def assemblies(sequences):
+    """(spec, graph) for every junction bijection of each block sequence, in
+    order, keeping the assemblies that are cubic and connected."""
+    for blocks in sequences:
+        for perms in itertools.product(itertools.permutations(range(3)),
+                                       repeat=len(blocks) - 1):
+            spec = FamilySpec(blocks=blocks, matchings=perms)
+            g = build_family(spec)
+            if g.is_cubic() and g.is_connected():
+                yield spec, g
+
+
+def _first_of_each_class(pairs) -> dict:
+    """certificate -> (spec, graph, canonical order) of the first pair of each
+    isomorphism class, in order of first appearance."""
+    out = {}
+    for spec, g in pairs:
+        cert, order = canonical_labelling(g)
+        out.setdefault(cert, (spec, g, order))
+    return out
+
+
+def distinct_assemblies(blocks: tuple) -> dict:
+    """The distinct members one block sequence assembles into under every
+    junction bijection, as certificate -> (spec, graph, canonical order);
+    each isomorphism class keeps its first spec."""
+    return _first_of_each_class(assemblies([blocks]))
+
+
+@lru_cache(maxsize=None)
+def family_index(order: int) -> MappingProxyType:
+    """Every distinct family member of the given order, as certificate ->
+    (spec, graph, canonical order), in the order of `assemblies` over
+    `block_sequences`; each class keeps its first spec.  The mapping is
+    cached, so it is handed out read-only.
+    """
+    if order < 4:
+        raise ValueError("family members have at least 4 vertices")
+    return MappingProxyType(_first_of_each_class(assemblies(block_sequences(order))))
 
 
 def family_members(order: int) -> tuple:

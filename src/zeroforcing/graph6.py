@@ -18,7 +18,6 @@ class Graph6Error(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte {offset})")
-        self.message = message
         self.offset = offset
 
 

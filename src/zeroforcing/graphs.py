@@ -205,9 +205,13 @@ def _refine(g: Graph, colors):
         colors = new
 
 
-def _distance_profile(bits, v: int) -> tuple:
-    """How many vertices lie at distance 1, 2, ... from v."""
-    return tuple(map(int.bit_count, _layers(bits, 1 << v)))[1:]
+def distance_profiles(g: Graph) -> list:
+    """Each vertex's distance profile: how many vertices lie at distance
+    1, 2, ... from it.  An isomorphism preserves distances, so it maps each
+    vertex to one with the same profile, and the sorted profiles are an
+    isomorphism invariant."""
+    return [tuple(map(int.bit_count, _layers(g.bits, 1 << v)))[1:]
+            for v in range(g.n)]
 
 
 def canonical_labelling(g: Graph) -> tuple:
@@ -216,12 +220,10 @@ def canonical_labelling(g: Graph) -> tuple:
 
     Individualization-refinement: each node individualizes one vertex of the
     first non-singleton color class and refines, down to discrete colorings.
-    The root coloring is each vertex's distance profile, ranked: the counts
-    of vertices at distance 1, 2, ... from it (the first count is its
-    degree).  An isomorphism preserves distances, so it maps each vertex to
-    one with the same profile, and ranking the sorted set of profiles gives
-    isomorphic graphs the same colors on corresponding vertices.  On a
-    regular graph this splits the root where degrees alone would not.
+    The root coloring ranks the `distance_profiles` (the first count is the
+    degree): ranking the sorted set of profiles gives isomorphic graphs the
+    same colors on corresponding vertices.  On a regular graph this splits
+    the root where degrees alone would not.
     The certificate is (n, least adjacency bitstring over those leaves), and
     `order` comes from the first leaf that gives it.  First-path automorphism
     pruning (McKay & Piperno, Practical graph isomorphism II, 2014): a leaf
@@ -287,7 +289,7 @@ def canonical_labelling(g: Graph) -> tuple:
             explored.append(v)
         return depth
 
-    profiles = [_distance_profile(g.bits, v) for v in range(n)]
+    profiles = distance_profiles(g)
     rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
     rec(_refine(g, [rank[p] for p in profiles]), True)
     return (n, best[0]), tuple(best[1])

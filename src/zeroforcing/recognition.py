@@ -1,19 +1,25 @@
 """Decides whether a connected cubic graph has zero forcing number 3.
 
-Membership in the assembled block family characterizes these graphs, so
-recognition is a membership test: the family members of the input's order
-are indexed by canonical certificate (cached), and the input's canonical
-labelling is looked up in that index.  Graphs with edge connectivity below 3
-are rejected without any labelling.
+Membership in the assembled block family characterizes these graphs, and a
+member is reported with the first assembly isomorphic to it, the spec
+`family_index` keeps for its class.  Recognition builds only what a query
+needs.  Graphs with edge connectivity below 3 are rejected first; the exact
+solver runs next, and Z != 3 rejects without any labelling.  A graph with
+Z = 3 is labelled and looked up in an index of the assemblies of its order
+(cached per order), bucketed by the sorted multiset of distance profiles:
+isomorphic graphs share the multiset, so the first assembly isomorphic to
+the input lies in its bucket.  Each bucket's first assembly is labelled when
+the index is built, the rest in assembly order when a query reaches them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .families import FamilySpec, family_index
+from .families import FamilySpec, assemblies, block_sequences, build_family
 from .forcing import zero_forcing_number
-from .graphs import Graph, canonical_labelling, edge_connectivity
+from .graphs import Graph, canonical_labelling, distance_profiles, edge_connectivity
 
 
 @dataclass(frozen=True)
@@ -40,6 +46,23 @@ class RecognitionResult:
         return f"zero forcing number {self.z} != 3"
 
 
+def _bucket_key(g: Graph) -> tuple:
+    """The sorted multiset of g's distance profiles, an isomorphism invariant."""
+    return tuple(sorted(distance_profiles(g)))
+
+
+@lru_cache(maxsize=None)
+def _index(order: int) -> dict:
+    """Bucket key -> [spec, canonical labelling or None] for each cubic,
+    connected assembly of the order, in assembly order; the first entry of
+    each bucket is labelled here, the others when a query first needs them."""
+    index = {}
+    for spec, g in assemblies(block_sequences(order)):
+        bucket = index.setdefault(_bucket_key(g), [])
+        bucket.append([spec, None if bucket else canonical_labelling(g)])
+    return index
+
+
 def recognize_z3(g: Graph) -> RecognitionResult:
     """Classify a connected cubic graph by whether its zero forcing number is 3."""
     if not g.is_cubic():
@@ -49,10 +72,17 @@ def recognize_z3(g: Graph) -> RecognitionResult:
     kappa = edge_connectivity(g)
     if kappa < 3:
         return RecognitionResult(member=False, edge_connectivity=kappa)
+    z = zero_forcing_number(g).z
+    if z != 3:
+        return RecognitionResult(member=False, z=z)
     cert, order = canonical_labelling(g)
-    entry = family_index(g.n).get(cert)
-    if entry is None:
-        return RecognitionResult(member=False, z=zero_forcing_number(g).z)
-    spec, _, member_order = entry
-    mapping = tuple(w for _, w in sorted(zip(member_order, order)))
-    return RecognitionResult(member=True, spec=spec, mapping=mapping)
+    for entry in _index(g.n).get(_bucket_key(g), ()):
+        if entry[1] is None:
+            entry[1] = canonical_labelling(build_family(entry[0]))
+        member_cert, member_order = entry[1]
+        if member_cert == cert:
+            mapping = tuple(w for _, w in sorted(zip(member_order, order)))
+            return RecognitionResult(member=True, spec=entry[0], mapping=mapping)
+    raise AssertionError(f"Z = 3 and edge connectivity {kappa}, but no family "
+                         f"member of order {g.n} is isomorphic to the graph: "
+                         "this would refute the characterization")

@@ -6,12 +6,12 @@ import networkx
 import pytest
 
 from util import naive_closure
-from zeroforcing import (ColoredGraph, Graph, apex_k1, build_family,
-                         canonical_certificate, compound, complete_graph,
-                         counterexample16, cycle_graph, edge_connectivity,
-                         family_members, heawood_graph, is_zero_forcing_set,
-                         ladder_m, ladder_t, necklace, permutation_prism,
-                         twin_classes, zero_forcing_number)
+from zeroforcing import (ColoredGraph, FamilySpec, Graph, apex_k1,
+                         block_sequences, build_family, canonical_certificate,
+                         compound, complete_graph, counterexample16, cycle_graph,
+                         edge_connectivity, family_members, heawood_graph,
+                         is_zero_forcing_set, ladder_m, ladder_t, necklace,
+                         permutation_prism, twin_classes, zero_forcing_number)
 
 # hand-drawn order-10 member: apex 0, ladder block 1..6, triangle 7..9
 KNOWN_MEMBER_10 = Graph(10, [(0, 1), (0, 2), (0, 6), (1, 3), (2, 1), (2, 4),
@@ -127,6 +127,42 @@ class TestAssembly:
         bare = ColoredGraph(cycle_graph(4), yellow=frozenset(), white=frozenset())
         with pytest.raises(ValueError, match="attachment"):
             apex_k1(bare)
+
+
+def chained_family(spec: FamilySpec) -> Graph:
+    """Reference assembly: one `compound` per junction, then `apex_k1`."""
+    builders = {"M": ladder_m, "T": ladder_t}
+    current = builders[spec.blocks[0][0]](spec.blocks[0][1])
+    for (kind, idx), perm in zip(spec.blocks[1:], spec.matchings):
+        nxt = builders[kind](idx)
+        a, b = sorted(current.white), sorted(nxt.attachment)
+        current = compound(current, nxt, {a[i]: b[perm[i]] for i in range(len(a))})
+    return apex_k1(current)
+
+
+class TestBuildFamily:
+    """`build_family` assembles in one pass the graph the operator chain builds:
+    the same vertex count and edge set."""
+
+    def test_every_spec_matches_the_chain_through_order_eighteen(self):
+        specs = 0
+        for order in range(4, 19):
+            for blocks in block_sequences(order):
+                for perms in itertools.product(itertools.permutations(range(3)),
+                                               repeat=len(blocks) - 1):
+                    spec = FamilySpec(blocks=blocks, matchings=perms)
+                    assert build_family(spec) == chained_family(spec), spec
+                    specs += 1
+        assert specs == 1 + 1 + 7 + 13 + 55 + 133 + 463 + 1261    # orders 4, 6, ..., 18
+
+    def test_malformed_specs_rejected(self):
+        for blocks, matchings, message in (
+                ((("M", 0),), (), "end with a T"),
+                ((("M", 0), ("T", 0)), (), "one matching per junction"),
+                ((("M", 0), ("T", 0)), ((0, 0, 1),), "bijection"),
+                ((("T", 0), ("T", 0)), ((0, 1, 2),), "from 0 white")):
+            with pytest.raises(ValueError, match=message):
+                build_family(FamilySpec(blocks=blocks, matchings=matchings))
 
 
 class TestEnumerateFamily:

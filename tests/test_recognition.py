@@ -1,14 +1,16 @@
 """Membership recognition for cubic graphs with forcing number 3."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import load_catalog
-from util import mapping_is_valid, permuted_copy
+from util import canonical_mapping, mapping_is_valid, permuted_copy
 from zeroforcing import (Graph, build_family, canonical_certificate,
                          complete_bipartite, complete_graph, family_members,
-                         heawood_graph, recognize_z3, zero_forcing_number)
+                         heawood_graph, recognition, recognize_z3,
+                         zero_forcing_number)
 
 TRIANGULAR_PRISM = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                              (0, 3), (1, 4), (2, 5)])
@@ -32,6 +34,19 @@ def two_cut_cubic() -> Graph:
     return Graph(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
                      (4, 5), (4, 6), (4, 7), (5, 6), (5, 7),
                      (2, 6), (3, 7)])
+
+
+def check_relabelled_members():
+    """Each member of orders 4-18, relabelled, is recognized with its
+    `family_members` spec and the mapping its canonical labellings give."""
+    rng = random.Random(18)
+    for order in range(4, 19, 2):
+        for spec, member in family_members(order):
+            g = permuted_copy(rng, member)
+            result = recognize_z3(g)
+            assert result.member and result.spec == spec
+            assert result.mapping == canonical_mapping(member, g)
+            assert mapping_is_valid(member, g, result.mapping)
 
 
 class TestCertificates:
@@ -75,6 +90,24 @@ class TestCertificates:
         assert result.edge_connectivity == 2
 
 
+class TestOrderOfChecks:
+    def test_non_members_are_solved_without_labelling(self, monkeypatch):
+        def no_labelling(g):
+            pytest.fail("a graph with Z != 3 was labelled")
+        monkeypatch.setattr(recognition, "canonical_labelling", no_labelling)
+        for g, z in ((heawood_graph(), 6), (complete_bipartite(3, 3), 4)):
+            result = recognize_z3(g)
+            assert not result.member and result.z == z
+
+    def test_z3_without_a_matching_member_refutes_the_characterization(
+            self, monkeypatch):
+        # K3,3 is cubic with edge connectivity 3 and Z = 4; report Z = 3
+        monkeypatch.setattr(recognition, "zero_forcing_number",
+                            lambda g: SimpleNamespace(z=3))
+        with pytest.raises(AssertionError, match="refute"):
+            recognize_z3(complete_bipartite(3, 3))
+
+
 class TestPreconditions:
     def test_non_cubic_rejected(self):
         with pytest.raises(ValueError, match="cubic"):
@@ -103,13 +136,20 @@ class TestAgreementWithSolver:
         assert verdicts == solved
         assert sum(verdicts) == 10
 
-    def test_relabelled_members_at_order_eighteen(self):
-        rng = random.Random(18)
-        for spec, member in family_members(18):
-            g = permuted_copy(rng, member)
-            result = recognize_z3(g)
-            assert result.member and result.spec == spec
-            assert mapping_is_valid(member, g, result.mapping)
+    def test_relabelled_members_through_order_eighteen(self):
+        check_relabelled_members()
+
+    def test_relabelled_members_when_later_specs_are_labelled_lazily(
+            self, monkeypatch):
+        # one bucket per order: every member but the order's first assembly
+        # is found among the entries labelled only when a query reaches them
+        monkeypatch.setattr(recognition, "_bucket_key", lambda g: ())
+        recognition._index.cache_clear()
+        try:
+            check_relabelled_members()
+            assert len(recognition._index(18)) == 1
+        finally:
+            recognition._index.cache_clear()
 
     def test_members_never_have_small_cuts(self):
         from zeroforcing import edge_connectivity
