@@ -7,6 +7,7 @@ bad one is visible rather than trusted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,14 +65,15 @@ def eigen_decomposition(matrix: np.ndarray,
     residual = float(np.abs(q @ np.diag(values) @ q.T - a0).max()) if n else 0.0
     orthogonality = float(np.abs(q.T @ q - np.eye(n)).max()) if n else 0.0
 
+    eigenvalues = values.tolist()     # Python floats: cheaper to loop over
     clusters = []
     start = 0
     for i in range(1, n + 1):
-        if i == n or values[i] - values[i - 1] > cluster_gap:
-            group = values[start:i]
-            clusters.append(EigenCluster(float(group.mean()), len(group)))
+        if i == n or eigenvalues[i] - eigenvalues[i - 1] > cluster_gap:
+            group = eigenvalues[start:i]
+            clusters.append(EigenCluster(math.fsum(group) / len(group), len(group)))
             start = i
-    return SpectralReport(eigenvalues=tuple(float(v) for v in values),
+    return SpectralReport(eigenvalues=tuple(eigenvalues),
                           clusters=tuple(clusters),
                           residual=residual,
                           orthogonality=orthogonality)

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import networkx
+from networkx.algorithms.connectivity import local_edge_connectivity
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from zeroforcing import (Graph, canonical_certificate, complete_bipartite,
                          complete_graph, cycle_graph, edge_connectivity,
                          heawood_graph, necklace, parse_graph6, path_graph,
                          permutation_prism)
+from zeroforcing.graphs import _max_flow_unit
 
 
 def to_networkx(g: Graph) -> networkx.Graph:
@@ -94,6 +96,20 @@ class TestGraphType:
             assert g.is_connected() == (g.n > 0 and networkx.is_connected(h))
 
 
+# A 4-regular graph with kappa 4 and a cubic one with kappa 3: from vertex 1
+# and vertex 26 respectively, one augmenting path sends a unit back over an
+# edge an earlier path crossed, and the next path crosses that edge again, so
+# the flow is found only if the cancelled edge regains both directions.
+CANCELLING_RECORDS = ("OAIAHIg?q_@@SBE`OMDG_",
+                      "[??_AH_C??_P??@GAA_O?_???G??AC_?GGAA?"
+                      "__???W@?A?o_??G?_@?G@@???c_")
+
+
+def assert_edge_connectivity_matches_networkx(h: networkx.Graph):
+    g = Graph(h.number_of_nodes(), list(h.edges()))
+    assert edge_connectivity(g) == networkx.edge_connectivity(h), h.edges()
+
+
 class TestEdgeConnectivity:
     def test_complete_graph(self):
         assert edge_connectivity(complete_graph(4)) == 3
@@ -159,15 +175,9 @@ class TestEdgeConnectivity:
             pair = networkx.disjoint_union(gnp(a, 0.5), gnp(b, 0.5))
             pair.add_edge(rng.randrange(a), a + rng.randrange(b))
             hosts.append(pair)
-        # a 4-regular graph with kappa 4 and a cubic one with kappa 3: from
-        # vertex 1 and vertex 26 respectively, one augmenting path sends a
-        # unit back over an edge an earlier path crossed, and the next path
-        # crosses that edge again, so kappa is found only if the cancelled
-        # edge regains both directions.  Each vertex in turn becomes the
-        # source, vertex 0, with the others kept in order and in reverse.
-        for record in ("OAIAHIg?q_@@SBE`OMDG_",
-                       "[??_AH_C??_P??@GAA_O?_???G??AC_?GGAA?"
-                       "__???W@?A?o_??G?_@?G@@???c_"):
+        # the two graphs whose flows cancel a unit: each vertex in turn
+        # becomes vertex 0, with the others kept in order and in reverse
+        for record in CANCELLING_RECORDS:
             h = to_networkx(parse_graph6(record))
             for s in h:
                 rest = [v for v in h if v != s]
@@ -177,8 +187,47 @@ class TestEdgeConnectivity:
         kappas = {networkx.edge_connectivity(h) for h in hosts[1252 + 621:]}
         assert {0, 1} <= kappas and max(kappas) >= 3
         for h in hosts:
-            g = Graph(h.number_of_nodes(), list(h.edges()))
-            assert edge_connectivity(g) == networkx.edge_connectivity(h), h.edges()
+            assert_edge_connectivity_matches_networkx(h)
+
+    def test_flows_between_every_pair_of_cancelling_vertices(self):
+        # edge_connectivity flows only between dominating vertices, so the
+        # cancelling paths are checked on _max_flow_unit itself
+        for record in CANCELLING_RECORDS:
+            g = parse_graph6(record)
+            h = to_networkx(g)
+            for s, t in itertools.permutations(range(g.n), 2):
+                assert _max_flow_unit(g, s, t, g.n) == \
+                    local_edge_connectivity(h, s, t), (record, s, t)
+
+    def test_cut_below_min_degree_without_bridge(self):
+        # two K5 joined by two disjoint edges: kappa 2 against minimum degree
+        # 4, so the dominating set must meet both sides of the cut
+        k5 = list(itertools.combinations(range(5), 2))
+        twin = networkx.Graph(k5 + [(u + 5, v + 5) for u, v in k5]
+                              + [(0, 5), (1, 6)])
+        assert networkx.edge_connectivity(twin) == 2
+        rng = random.Random(17)
+        for _ in range(40):
+            order = list(range(10))
+            rng.shuffle(order)
+            assert_edge_connectivity_matches_networkx(
+                networkx.relabel_nodes(twin, dict(enumerate(order))))
+
+    def test_single_dominating_vertex(self):
+        # vertex 0 dominates K_n and a star centred on it, so no flow runs
+        # and the answer is the minimum degree
+        for n in range(2, 9):
+            assert_edge_connectivity_matches_networkx(networkx.complete_graph(n))
+            assert_edge_connectivity_matches_networkx(networkx.star_graph(n - 1))
+
+    def test_isolated_vertex_and_tiny_graphs(self):
+        for isolated in (0, 3, 6):
+            h = networkx.complete_graph(6)
+            h = networkx.relabel_nodes(h, {v: v + (v >= isolated) for v in h})
+            h.add_node(isolated)
+            assert_edge_connectivity_matches_networkx(h)
+        assert edge_connectivity(Graph(0)) == 0
+        assert edge_connectivity(Graph(1)) == 0
 
 
 class TestIsomorphism:

@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from conftest import load_catalog
-from util import random_connected_graph, random_graph
+from util import naive_eigen_clusters, random_connected_graph, random_graph
 from zeroforcing import spectral
 from zeroforcing import (Graph, MinorModel, adjacency_matrix, bounds_report,
                          complete_bipartite, complete_graph, cycle_graph,
@@ -90,6 +90,35 @@ class TestEigenDecomposition:
             for gap in (1e-9, 1e-8, 1e-7, 1e-6):
                 report = eigen_decomposition(a, cluster_gap=gap)
                 assert [c.multiplicity for c in report.clusters] == reference
+
+    def test_clusters_match_numpy_reference(self):
+        # random symmetric matrices, some with planted repeated eigenvalues
+        # and clustered at a wide gap; n = 0 and n = 1; K10, whose -1 has
+        # multiplicity 9; Petersen, Heawood and the cubic12 fixtures
+        rng = np.random.default_rng(32)
+        cases = [(np.zeros((0, 0)), spectral.CLUSTER_GAP),
+                 (np.array([[2.5]]), spectral.CLUSTER_GAP)]
+        for _ in range(40):
+            n = int(rng.integers(1, 25))
+            m = rng.normal(size=(n, n))
+            cases.append(((m + m.T) / 2, rng.choice([1e-6, 0.1, 0.5])))
+            q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            w = rng.choice(rng.normal(size=3), size=n)
+            cases.append((q @ np.diag(w) @ q.T, 1e-6))
+        for g in [complete_graph(10), petersen(), heawood_graph(),
+                  *load_catalog(12)]:
+            cases.append((adjacency_matrix(g), spectral.CLUSTER_GAP))
+        largest = 0
+        for matrix, gap in cases:
+            report = eigen_decomposition(matrix, cluster_gap=gap)
+            values, clusters = naive_eigen_clusters(matrix, gap)
+            assert report.eigenvalues == values
+            assert [c.multiplicity for c in report.clusters] == \
+                [k for _, k in clusters]
+            for c, (mean, _) in zip(report.clusters, clusters):
+                assert abs(c.value - mean) <= 1e-12
+            largest = max([largest] + [c.multiplicity for c in report.clusters])
+        assert largest >= 9
 
 
 def exact_max_multiplicity(g: Graph) -> int:

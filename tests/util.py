@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from zeroforcing import Graph, canonical_labelling
 
 
@@ -69,6 +71,20 @@ def mapping_is_valid(g: Graph, h: Graph, mapping) -> bool:
             if g.has_edge(u, v) != h.has_edge(mapping[u], mapping[v]):
                 return False
     return True
+
+
+def naive_eigen_clusters(matrix, cluster_gap: float):
+    """Reference spectrum and single-linkage clusters over numpy scalars:
+    (eigenvalues from `numpy.linalg.eigh`, [(numpy mean, multiplicity)])."""
+    values = np.linalg.eigh(np.asarray(matrix, dtype=float))[0]
+    clusters = []
+    start = 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > cluster_gap:
+            group = values[start:i]
+            clusters.append((float(group.mean()), len(group)))
+            start = i
+    return tuple(float(v) for v in values), clusters
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
