@@ -1,9 +1,8 @@
 """Zero forcing numbers, cubic graph families, and maximum-nullity bounds."""
 
 from .catalog import connected_cubic_graphs, small_graphs
-from .families import (ColoredGraph, FamilySpec, apex_k1, assemblies,
-                       block_sequences, build_family, compound, counterexample16,
-                       distinct_assemblies, family_index, family_members,
+from .families import (FamilySpec, assemblies, block_sequences, build_family,
+                       counterexample16, distinct_assemblies, family_members,
                        heawood_graph, ladder_m, ladder_t, necklace,
                        permutation_prism)
 from .forcing import (DerivedColoring, ZeroForcingResult, closure,
@@ -17,7 +16,6 @@ from .spanning import DegreeCensus, SpanningTree, degree_census, spanning_tree
 from .spectral import (BoundsReport, EigenCluster, MinorModel, SpectralReport,
                        adjacency_matrix, bounds_report, eigen_decomposition,
                        find_clique_minor, max_multiplicity_bound,
-                       minor_model_violation, twin_bound, twin_classes,
-                       verify_minor_model)
+                       minor_model_violation, twin_bound, twin_classes)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

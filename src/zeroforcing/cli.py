@@ -86,7 +86,7 @@ def _gen_graphs(spec: list, order: int | None):
             raise ValueError(f"expected {t} ladder indices, got {len(indices)}")
         blocks = tuple([("M", ni) for ni in indices] + [("T", m)])
         return [(spec_.label(), g)
-                for spec_, g, _ in families.distinct_assemblies(blocks).values()]
+                for spec_, g in families.distinct_assemblies(blocks)]
     raise ValueError(f"unknown generator {kind!r}")
 
 
@@ -193,7 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "gen" and args.order is not None and args.spec != ["family"]:
+        parser.error("gen: --order takes `family` and no block spec")
     try:
         with contextlib.ExitStack() as files:
             infile = getattr(args, "infile", None)

@@ -1,11 +1,11 @@
 """Constructors for every named graph and parameterized family used by the library.
 
-The block builders (`ladder_t`, `ladder_m`) return ColoredGraph values whose
-tags drive the `compound` and `apex_k1` assembly operators.  `build_family`
-assembles a whole block sequence in one pass and builds the same graph as
-that chain of operators; the remaining constructors return plain Graphs.
-Vertex labelings are documented on each constructor so drawings can be
-cross-checked.
+The ladder blocks (`ladder_t`, `ladder_m`) are data: a graph with its sorted
+attachment set, which receives edges from the left, and its sorted white set,
+which sends edges to the right.  `build_family` joins a block sequence at its
+junctions and closes it with an apex K1; the remaining constructors return
+plain Graphs.  Vertex labelings are documented on each constructor so
+drawings can be cross-checked.
 """
 
 from __future__ import annotations
@@ -13,112 +13,48 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 
-from .graphs import Graph, canonical_labelling
-
-
-@dataclass(frozen=True)
-class ColoredGraph:
-    """A graph with the attachment tags consumed by compound/apex assembly.
-
-    `attachment` (yellow plus degree-1 vertices) is the set that receives
-    edges from the left; `white` is the set that sends edges to the right.
-    """
-
-    graph: Graph
-    yellow: frozenset
-    white: frozenset
-
-    def __post_init__(self):
-        for v in self.yellow | self.white:
-            if not 0 <= v < self.graph.n:
-                raise ValueError(f"tagged vertex {v} out of range")
-
-    @property
-    def attachment(self) -> frozenset:
-        pendant = frozenset(v for v in range(self.graph.n) if self.graph.degree(v) == 1)
-        return self.yellow | pendant
+from .graphs import Graph, canonical_certificate
 
 
-def ladder_t(m: int) -> ColoredGraph:
+def _ladder_edges(rungs: int) -> list:
+    """Rung i joins a_i = 2i to b_i = 2i+1; rails join a_i to a_i+1, b_i to b_i+1."""
+    return ([(2 * i, 2 * i + 1) for i in range(rungs)]
+            + [(v, v + 2) for v in range(2 * rungs - 2)])
+
+
+@lru_cache(maxsize=None)
+def ladder_t(m: int) -> tuple:
     """Closing block: ladder of m+1 rungs plus a cap vertex on the last rung.
 
     Labels: rung i has endpoints a_i=2i, b_i=2i+1 for i=0..m; cap=2m+2.
-    Yellow: both endpoints of the first rung and the cap.  m=0 degenerates to
-    a triangle with all three vertices yellow.
+    Returns (graph, attachment, white) = (graph, (0, 1, 2m+2), ()): the
+    yellow vertices are both endpoints of the first rung and the cap, and
+    none is pendant.  m=0 degenerates to a triangle.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    edges = []
-    for i in range(m + 1):
-        edges.append((2 * i, 2 * i + 1))
-        if i:
-            edges.append((2 * (i - 1), 2 * i))
-            edges.append((2 * (i - 1) + 1, 2 * i + 1))
     cap = 2 * m + 2
-    edges += [(cap, 2 * m), (cap, 2 * m + 1)]
-    return ColoredGraph(Graph(2 * m + 3, edges),
-                        yellow=frozenset({0, 1, cap}),
-                        white=frozenset())
+    edges = _ladder_edges(m + 1) + [(cap, 2 * m), (cap, 2 * m + 1)]
+    return Graph(2 * m + 3, edges), (0, 1, cap), ()
 
 
-def ladder_m(n: int) -> ColoredGraph:
+@lru_cache(maxsize=None)
+def ladder_m(n: int) -> tuple:
     """Pass-through block: ladder of n+1 rungs plus a two-vertex tail.
 
     Labels: rung i has endpoints a_i=2i, b_i=2i+1 for i=0..n; the tail
-    c1=2n+2, c2=2n+3 hangs off a_n.  Yellow: first-rung endpoints.  White:
-    the tail and the last-rung endpoint opposite it.  n=0 degenerates to the
-    4-path b_0, a_0, c1, c2, where b_0 carries both tags.
+    c1=2n+2, c2=2n+3 hangs off a_n.  Returns (graph, attachment, white) =
+    (graph, (0, 1, 2n+3), (2n+1, 2n+2, 2n+3)): the yellow first-rung
+    endpoints plus the pendant c2 attach, and the tail and the last-rung
+    endpoint opposite it are white.  n=0 degenerates to the 4-path b_0, a_0,
+    c1, c2, where b_0 is both pendant and white.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    edges = []
-    for i in range(n + 1):
-        edges.append((2 * i, 2 * i + 1))
-        if i:
-            edges.append((2 * (i - 1), 2 * i))
-            edges.append((2 * (i - 1) + 1, 2 * i + 1))
     c1, c2 = 2 * n + 2, 2 * n + 3
-    edges += [(2 * n, c1), (c1, c2)]
-    return ColoredGraph(Graph(2 * n + 4, edges),
-                        yellow=frozenset({0, 1}),
-                        white=frozenset({2 * n + 1, c1, c2}))
-
-
-def compound(g1: ColoredGraph, g2: ColoredGraph, f: dict) -> ColoredGraph:
-    """Join g1's white vertices to g2's attachment vertices via the bijection f.
-
-    g2's vertices are relabeled by offset g1.graph.n in the result.  The
-    result keeps g1's attachment set (for a later apex) and g2's white set
-    (for a later compound); g2's own attachment tags are consumed here.
-    """
-    a = g1.white
-    b = g2.attachment
-    if len(a) != len(b):
-        raise ValueError(f"cannot match {len(a)} white vertices to "
-                         f"{len(b)} attachment vertices")
-    if set(f.keys()) != set(a) or set(f.values()) != set(b):
-        raise ValueError("f must be a bijection from g1's white set onto "
-                         "g2's attachment set")
-    off = g1.graph.n
-    edges = list(g1.graph.edges)
-    edges += [(u + off, v + off) for u, v in g2.graph.edges]
-    edges += [(u, f[u] + off) for u in sorted(a)]
-    merged = Graph(off + g2.graph.n, edges)
-    return ColoredGraph(merged,
-                        yellow=g1.attachment,
-                        white=frozenset(v + off for v in g2.white))
-
-
-def apex_k1(g: ColoredGraph) -> Graph:
-    """Add one vertex adjacent to every yellow and pendant vertex; tags end here."""
-    targets = g.attachment
-    if not targets:
-        raise ValueError("apex needs a nonempty attachment set")
-    apex = g.graph.n
-    edges = list(g.graph.edges) + [(apex, v) for v in sorted(targets)]
-    return Graph(apex + 1, edges)
+    edges = _ladder_edges(n + 1) + [(2 * n, c1), (c1, c2)]
+    return Graph(2 * n + 4, edges), (0, 1, c2), (2 * n + 1, c1, c2)
 
 
 @dataclass(frozen=True)
@@ -140,40 +76,35 @@ class FamilySpec:
 _BUILDERS = {"M": ladder_m, "T": ladder_t}
 
 
-@lru_cache(maxsize=None)
-def _block(kind: str, idx: int) -> tuple:
-    """(vertex count, edges, sorted attachment set, sorted white set) of one block."""
-    block = _BUILDERS[kind](idx)
-    return (block.graph.n, tuple(block.graph.edges),
-            tuple(sorted(block.attachment)), tuple(sorted(block.white)))
-
-
 def build_family(spec: FamilySpec) -> Graph:
-    """Assemble the graph a FamilySpec describes, in one pass.
+    """Assemble the graph a FamilySpec describes.
 
-    The result equals apex_k1 of the chain of `compound`s over the blocks:
-    each block is shifted past the vertices before it, and junction j joins
+    Each block is shifted past the vertices before it, and junction j joins
     the sorted white set on its left to the sorted attachment set on its
-    right by matchings[j].  The chain's apex also takes each vertex still
-    pendant after a junction, but a block's pendants lie in its attachment
-    set and get junction edges, so only the first block's attachment set is
-    left for the apex.
+    right by matchings[j].  The apex joins the first block's attachment
+    set: every later block's attachment set, pendants included, is used up
+    by its junction.
     """
     if not spec.blocks or spec.blocks[-1][0] != "T":
         raise ValueError("block sequence must end with a T block")
     if len(spec.matchings) != len(spec.blocks) - 1:
         raise ValueError("need one matching per junction")
-    n, edges, targets, white = _block(*spec.blocks[0])
-    edges = list(edges)
-    for (kind, idx), perm in zip(spec.blocks[1:], spec.matchings):
-        size, block_edges, attachment, block_white = _block(kind, idx)
+    parts = []
+    for kind, idx in spec.blocks:
+        if kind not in _BUILDERS or type(idx) is not int or idx < 0:
+            raise ValueError(f"unknown block {kind!r}, {idx!r}: expected "
+                             "'M' or 'T' with a non-negative integer index")
+        parts.append(_BUILDERS[kind](idx))
+    first, targets, white = parts[0]
+    n, edges = first.n, list(first.edges)
+    for (block, attachment, block_white), perm in zip(parts[1:], spec.matchings):
         if len(white) != len(attachment) or sorted(perm) != list(range(len(white))):
             raise ValueError(f"matching {perm} is no bijection from {len(white)} "
                              f"white to {len(attachment)} attachment vertices")
-        edges += [(u + n, v + n) for u, v in block_edges]
+        edges += [(u + n, v + n) for u, v in block.edges]
         edges += [(u, attachment[i] + n) for u, i in zip(white, perm)]
         white = [v + n for v in block_white]
-        n += size
+        n += block.n
     edges += [(n, v) for v in targets]
     return Graph(n + 1, edges)
 
@@ -205,38 +136,28 @@ def assemblies(sequences):
                 yield spec, g
 
 
-def _first_of_each_class(pairs) -> dict:
-    """certificate -> (spec, graph, canonical order) of the first pair of each
-    isomorphism class, in order of first appearance."""
-    out = {}
+def _one_per_class(pairs) -> tuple:
+    """The first (spec, graph) pair of each isomorphism class, in order."""
+    first = {}
     for spec, g in pairs:
-        cert, order = canonical_labelling(g)
-        out.setdefault(cert, (spec, g, order))
-    return out
+        first.setdefault(canonical_certificate(g), (spec, g))
+    return tuple(first.values())
 
 
-def distinct_assemblies(blocks: tuple) -> dict:
+def distinct_assemblies(blocks: tuple) -> tuple:
     """The distinct members one block sequence assembles into under every
-    junction bijection, as certificate -> (spec, graph, canonical order);
-    each isomorphism class keeps its first spec."""
-    return _first_of_each_class(assemblies([blocks]))
+    junction bijection, as (spec, graph) pairs; each class keeps its first spec."""
+    return _one_per_class(assemblies([blocks]))
 
 
 @lru_cache(maxsize=None)
-def family_index(order: int) -> MappingProxyType:
-    """Every distinct family member of the given order, as certificate ->
-    (spec, graph, canonical order), in the order of `assemblies` over
-    `block_sequences`; each class keeps its first spec.  The mapping is
-    cached, so it is handed out read-only.
-    """
+def family_members(order: int) -> tuple:
+    """Every distinct family member of the given order, as (spec, graph)
+    pairs in the order of `assemblies` over `block_sequences`; each
+    isomorphism class keeps its first spec."""
     if order < 4:
         raise ValueError("family members have at least 4 vertices")
-    return MappingProxyType(_first_of_each_class(assemblies(block_sequences(order))))
-
-
-def family_members(order: int) -> tuple:
-    """The `family_index` members as (spec, graph) pairs, in its order."""
-    return tuple(entry[:2] for entry in family_index(order).values())
+    return _one_per_class(assemblies(block_sequences(order)))
 
 
 def permutation_prism(n: int, sigma: tuple | None = None) -> Graph:

@@ -2,7 +2,7 @@
 
 Membership in the assembled block family characterizes these graphs, and a
 member is reported with the first assembly isomorphic to it, the spec
-`family_index` keeps for its class.  Recognition builds only what a query
+`family_members` keeps for its class.  Recognition builds only what a query
 needs.  Graphs with edge connectivity below 3 are rejected first; the exact
 solver runs next, and Z != 3 rejects without any labelling.  A graph with
 Z = 3 is labelled and looked up in an index of the assemblies of its order

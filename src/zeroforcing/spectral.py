@@ -141,10 +141,6 @@ def minor_model_violation(g: Graph, model: MinorModel) -> str | None:
     return None
 
 
-def verify_minor_model(g: Graph, model: MinorModel) -> bool:
-    return minor_model_violation(g, model) is None
-
-
 def find_clique_minor(g: Graph, k: int, max_vertices: int = 12) -> MinorModel | None:
     """Bounded exhaustive search for a complete-minor model covering V(g).
 
@@ -164,7 +160,7 @@ def find_clique_minor(g: Graph, k: int, max_vertices: int = 12) -> MinorModel | 
                 return None
             sets = [frozenset(p) for p in parts]
             model = MinorModel(branch_sets=tuple(sets), target=k)
-            if verify_minor_model(g, model):
+            if minor_model_violation(g, model) is None:
                 return model
             return None
         if len(parts) + (g.n - v) < k:

@@ -16,10 +16,10 @@ from util import naive_closure, random_cubic_connected
 from zeroforcing import (adjacency_matrix, bounds_report, complete_graph,
                          counterexample16, degree_census, edge_connectivity,
                          eigen_decomposition, family_members, find_clique_minor,
-                         heawood_graph, is_zero_forcing_set, necklace,
-                         permutation_prism, recognize_z3, small_graphs,
-                         spanning_tree, twin_bound, verify_minor_model,
-                         write_graph6, zero_forcing_number)
+                         heawood_graph, is_zero_forcing_set, minor_model_violation,
+                         necklace, permutation_prism, recognize_z3, small_graphs,
+                         spanning_tree, twin_bound, write_graph6,
+                         zero_forcing_number)
 
 class Criterion:
     """Times a criterion and prints its PASS/FAIL line."""
@@ -89,7 +89,7 @@ def test_criterion_4_swapped_prisms():
                     for cyc in _four_cycles(g)), f"prism({n},{sigma})"
         g = permutation_prism(5, (1, 2))
         model = find_clique_minor(g, 5)
-        assert model is not None and verify_minor_model(g, model)
+        assert model is not None and minor_model_violation(g, model) is None
         report = bounds_report(g, models=[model])
         assert report.m == 4
 

@@ -9,9 +9,9 @@ import pytest
 
 import zeroforcing
 from util import naive_closure
-from zeroforcing import (cycle_graph, family_members, heawood_graph, necklace,
-                         parse_graph6, path_graph, permutation_prism,
-                         write_graph6, zero_forcing_number)
+from zeroforcing import (cycle_graph, distinct_assemblies, family_members,
+                         heawood_graph, necklace, parse_graph6, path_graph,
+                         permutation_prism, write_graph6, zero_forcing_number)
 from zeroforcing.cli import main
 
 
@@ -93,6 +93,23 @@ def test_gen_explicit_family_spec(capsys):
     assert main(["gen", "family", "t=1", "m=0", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1          # all six matchings collapse to one graph
+
+
+def test_gen_family_spec_prints_the_distinct_assemblies(capsys):
+    assert main(["gen", "family", "t=1", "m=0", "0"]) == 0
+    members = distinct_assemblies((("M", 0), ("T", 0)))
+    assert capsys.readouterr().out == "".join(write_graph6(g) + "\n"
+                                              for _, g in members)
+
+
+@pytest.mark.parametrize("argv", [["gen", "heawood", "--order", "6"],
+                                  ["gen", "family", "t=1", "m=0", "0", "--order", "6"]],
+                         ids=["heawood", "family-spec"])
+def test_gen_order_without_a_bare_family_is_a_usage_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert "--order takes `family` and no block spec" in err
 
 
 def test_closure_black_flag(capsys, tmp_path):

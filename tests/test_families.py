@@ -1,14 +1,14 @@
-"""Family constructors: ladders, compound/apex assembly, prisms, and the named graphs."""
+"""Family constructors: ladder blocks, one-pass assembly, prisms, and the named graphs."""
 
 import itertools
+from dataclasses import dataclass
 
 import networkx
 import pytest
 
 from util import naive_closure
-from zeroforcing import (ColoredGraph, FamilySpec, Graph, apex_k1,
-                         block_sequences, build_family, canonical_certificate,
-                         compound, complete_graph, counterexample16, cycle_graph,
+from zeroforcing import (FamilySpec, Graph, block_sequences, build_family,
+                         canonical_certificate, complete_graph, counterexample16,
                          edge_connectivity, family_members, heawood_graph,
                          is_zero_forcing_set, ladder_m, ladder_t, necklace,
                          permutation_prism, twin_classes, zero_forcing_number)
@@ -31,24 +31,79 @@ def assert_cubic_connected(g):
     assert g.is_connected()
 
 
+@dataclass(frozen=True)
+class ColoredGraph:
+    """A graph with the tags of the paper's drawings: the attachment set
+    (yellow plus degree-1 vertices) receives edges from the left, and the
+    white set sends edges to the right."""
+
+    graph: Graph
+    yellow: frozenset
+    white: frozenset
+
+    @property
+    def attachment(self) -> frozenset:
+        pendant = {v for v in range(self.graph.n) if self.graph.degree(v) == 1}
+        return self.yellow | pendant
+
+
+def drawn_block(kind: str, idx: int) -> ColoredGraph:
+    """A ladder block's graph with the yellow and white sets of its drawing:
+    T_m has yellow first-rung endpoints and cap; M_n has yellow first-rung
+    endpoints, and its tail and the last-rung endpoint opposite it are white."""
+    if kind == "T":
+        return ColoredGraph(ladder_t(idx)[0], frozenset({0, 1, 2 * idx + 2}),
+                            frozenset())
+    return ColoredGraph(ladder_m(idx)[0], frozenset({0, 1}),
+                        frozenset({2 * idx + 1, 2 * idx + 2, 2 * idx + 3}))
+
+
+def compound(g1: ColoredGraph, g2: ColoredGraph, f: dict) -> ColoredGraph:
+    """Join g1's white set to g2's attachment set by the bijection f, with
+    g2 shifted past g1; g1's attachment set and g2's white set stay tagged."""
+    assert set(f) == g1.white and set(f.values()) == g2.attachment
+    off = g1.graph.n
+    edges = list(g1.graph.edges)
+    edges += [(u + off, v + off) for u, v in g2.graph.edges]
+    edges += [(u, f[u] + off) for u in g1.white]
+    return ColoredGraph(Graph(off + g2.graph.n, edges), yellow=g1.attachment,
+                        white=frozenset(v + off for v in g2.white))
+
+
+def apex_k1(g: ColoredGraph) -> Graph:
+    """Add one vertex adjacent to every yellow and pendant vertex."""
+    apex = g.graph.n
+    return Graph(apex + 1, list(g.graph.edges) + [(apex, v) for v in g.attachment])
+
+
+def chained_family(spec: FamilySpec) -> Graph:
+    """Reference assembly over the drawn tags: one `compound` per junction,
+    then `apex_k1`."""
+    current = drawn_block(*spec.blocks[0])
+    for block, perm in zip(spec.blocks[1:], spec.matchings):
+        nxt = drawn_block(*block)
+        a, b = sorted(current.white), sorted(nxt.attachment)
+        current = compound(current, nxt, {a[i]: b[perm[i]] for i in range(len(a))})
+    return apex_k1(current)
+
+
 class TestLadderT:
     def test_zero_is_triangle_all_yellow(self):
-        block = ladder_t(0)
-        assert isomorphic(block.graph, complete_graph(3))
-        assert block.yellow == frozenset({0, 1, 2})
-        assert block.attachment == frozenset({0, 1, 2})
-        assert block.white == frozenset()
+        g, attachment, white = ladder_t(0)
+        assert isomorphic(g, complete_graph(3))
+        assert attachment == (0, 1, 2)
+        assert white == ()
 
     def test_one_has_five_vertices(self):
-        block = ladder_t(1)
-        assert block.graph.n == 5
-        assert len(block.attachment) == 3
+        g, attachment, _ = ladder_t(1)
+        assert g.n == 5
+        assert len(attachment) == 3
 
     def test_two_degree_sequence(self):
         # m+1 rungs, 2m rails, 2 cap edges: three degree-2 and four degree-3
-        block = ladder_t(2)
-        assert block.graph.n == 7
-        assert block.graph.degree_sequence() == (2, 2, 2, 3, 3, 3, 3)
+        g, _, _ = ladder_t(2)
+        assert g.n == 7
+        assert g.degree_sequence() == (2, 2, 2, 3, 3, 3, 3)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -57,92 +112,58 @@ class TestLadderT:
 
 class TestLadderM:
     def test_zero_is_four_path_with_overlapping_tags(self):
-        block = ladder_m(0)
-        assert isomorphic(block.graph, Graph(4, [(0, 1), (1, 2), (2, 3)]))
-        assert block.yellow == frozenset({0, 1})
-        assert block.white == frozenset({1, 2, 3})
-        assert block.attachment == frozenset({0, 1, 3})
-        assert block.yellow & block.white == frozenset({1})
+        g, attachment, white = ladder_m(0)
+        assert isomorphic(g, Graph(4, [(0, 1), (1, 2), (2, 3)]))
+        assert attachment == (0, 1, 3)
+        assert white == (1, 2, 3)
+        # b_0 = 1 is yellow and white; the pendants b_0 and c2 = 3 attach
+        assert set(attachment) & set(white) == {1, 3}
 
     def test_one_has_six_vertices(self):
-        block = ladder_m(1)
-        assert block.graph.n == 6
-        assert len(block.white) == 3 and len(block.attachment) == 3
+        g, attachment, white = ladder_m(1)
+        assert g.n == 6
+        assert len(white) == 3 and len(attachment) == 3
 
     def test_two_tag_counts(self):
-        block = ladder_m(2)
-        assert block.graph.n == 8
-        assert len(block.white) == 3
-        assert len(block.yellow) == 2
+        g, attachment, white = ladder_m(2)
+        assert g.n == 8
+        assert len(white) == 3
+        assert attachment == (0, 1, 7)
+
+
+def spec_of(*blocks) -> FamilySpec:
+    """The spec joining each junction by the identity matching."""
+    return FamilySpec(blocks=blocks, matchings=((0, 1, 2),) * (len(blocks) - 1))
 
 
 class TestAssembly:
     def test_apex_t0_is_k4(self):
-        assert isomorphic(apex_k1(ladder_t(0)), complete_graph(4))
+        assert isomorphic(build_family(spec_of(("T", 0))), complete_graph(4))
 
     def test_apex_t1_is_triangular_prism(self):
-        assert isomorphic(apex_k1(ladder_t(1)), TRIANGULAR_PRISM)
+        assert isomorphic(build_family(spec_of(("T", 1))), TRIANGULAR_PRISM)
 
     def test_m1_t0_compound_reaches_known_member(self):
-        m1, t0 = ladder_m(1), ladder_t(0)
-        a, b = sorted(m1.white), sorted(t0.attachment)
-        joined = compound(m1, t0, dict(zip(a, b)))
-        assert joined.graph.n == 9
-        assert joined.white == frozenset(v + m1.graph.n for v in t0.white)
-        g = apex_k1(joined)
+        g = build_family(spec_of(("M", 1), ("T", 0)))
+        assert g.n == 10
         assert_cubic_connected(g)
         assert isomorphic(g, KNOWN_MEMBER_10)
 
     def test_every_matching_of_m1_t0_gives_the_same_member(self):
-        m1, t0 = ladder_m(1), ladder_t(0)
-        a, b = sorted(m1.white), sorted(t0.attachment)
         for perm in itertools.permutations(range(3)):
-            f = {a[i]: b[perm[i]] for i in range(3)}
-            g = apex_k1(compound(m1, t0, f))
-            assert isomorphic(g, KNOWN_MEMBER_10)
+            spec = FamilySpec(blocks=(("M", 1), ("T", 0)), matchings=(perm,))
+            assert isomorphic(build_family(spec), KNOWN_MEMBER_10)
 
     def test_m0_t0_gives_eight_vertex_member(self):
-        m0, t0 = ladder_m(0), ladder_t(0)
-        a, b = sorted(m0.white), sorted(t0.attachment)
-        joined = compound(m0, t0, dict(zip(a, b)))
-        assert joined.graph.n == 7
-        g = apex_k1(joined)
+        g = build_family(spec_of(("M", 0), ("T", 0)))
         assert g.n == 8
         assert_cubic_connected(g)
         assert zero_forcing_number(g).z == 3
 
-    def test_compound_size_mismatch(self):
-        small = ColoredGraph(cycle_graph(3), yellow=frozenset({0, 1}),
-                             white=frozenset())
-        with pytest.raises(ValueError, match="match 3"):
-            compound(ladder_m(0), small, {})
-
-    def test_compound_requires_bijection(self):
-        m0, t0 = ladder_m(0), ladder_t(0)
-        a = sorted(m0.white)
-        with pytest.raises(ValueError, match="bijection"):
-            compound(m0, t0, {a[0]: 0, a[1]: 0, a[2]: 1})
-
-    def test_apex_needs_attachment(self):
-        bare = ColoredGraph(cycle_graph(4), yellow=frozenset(), white=frozenset())
-        with pytest.raises(ValueError, match="attachment"):
-            apex_k1(bare)
-
-
-def chained_family(spec: FamilySpec) -> Graph:
-    """Reference assembly: one `compound` per junction, then `apex_k1`."""
-    builders = {"M": ladder_m, "T": ladder_t}
-    current = builders[spec.blocks[0][0]](spec.blocks[0][1])
-    for (kind, idx), perm in zip(spec.blocks[1:], spec.matchings):
-        nxt = builders[kind](idx)
-        a, b = sorted(current.white), sorted(nxt.attachment)
-        current = compound(current, nxt, {a[i]: b[perm[i]] for i in range(len(a))})
-    return apex_k1(current)
-
 
 class TestBuildFamily:
-    """`build_family` assembles in one pass the graph the operator chain builds:
-    the same vertex count and edge set."""
+    """`build_family` assembles in one pass the graph the operator chain over
+    the drawn tags builds: the same vertex count and edge set."""
 
     def test_every_spec_matches_the_chain_through_order_eighteen(self):
         specs = 0
@@ -160,7 +181,10 @@ class TestBuildFamily:
                 ((("M", 0),), (), "end with a T"),
                 ((("M", 0), ("T", 0)), (), "one matching per junction"),
                 ((("M", 0), ("T", 0)), ((0, 0, 1),), "bijection"),
-                ((("T", 0), ("T", 0)), ((0, 1, 2),), "from 0 white")):
+                ((("T", 0), ("T", 0)), ((0, 1, 2),), "from 0 white"),
+                ((("X", 0), ("T", 0)), ((0, 1, 2),), "unknown block 'X', 0"),
+                ((("M", "a"), ("T", 0)), ((0, 1, 2),), "unknown block 'M', 'a'"),
+                ((("M", -1), ("T", 0)), ((0, 1, 2),), "unknown block 'M', -1")):
             with pytest.raises(ValueError, match=message):
                 build_family(FamilySpec(blocks=blocks, matchings=matchings))
 
