@@ -70,6 +70,19 @@ def _pendant_block_splits(g: Graph):
         yield Graph(g.n + 6, edges)
 
 
+def _census(children, expected, mismatch: str) -> tuple:
+    """The first child of each isomorphism class, in ascending certificate
+    order; raises `mismatch` when `expected` is given and the class count
+    differs from it."""
+    seen = {}
+    for child in children:
+        seen.setdefault(canonical_certificate(child), child)
+    members = tuple(seen[c] for c in sorted(seen))
+    if expected is not None and len(members) != expected:
+        raise RuntimeError(f"{mismatch}: built {len(members)}, expected {expected}")
+    return members
+
+
 @lru_cache(maxsize=None)
 def connected_cubic_graphs(order: int) -> tuple:
     """Every connected cubic graph of the given order, up to isomorphism.
@@ -81,22 +94,14 @@ def connected_cubic_graphs(order: int) -> tuple:
         return ()
     if order == 4:
         return (Graph(4, itertools.combinations(range(4), 2)),)
-    seen = {}
     sources = ((order - 2, _edge_splits),
                (order - 4, _chorded_square_splices),
                (order - 6, _pendant_block_splits))
-    for parent_order, expand in sources:
-        for parent in connected_cubic_graphs(parent_order):
-            for child in expand(parent):
-                cert = canonical_certificate(child)
-                if cert not in seen:
-                    seen[cert] = child
-    members = tuple(seen[c] for c in sorted(seen))
-    expected = CONNECTED_CUBIC_COUNTS.get(order)
-    if expected is not None and len(members) != expected:
-        raise RuntimeError(f"cubic census mismatch at order {order}: "
-                           f"built {len(members)}, expected {expected}")
-    return members
+    children = (child for parent_order, expand in sources
+                for parent in connected_cubic_graphs(parent_order)
+                for child in expand(parent))
+    return _census(children, CONNECTED_CUBIC_COUNTS.get(order),
+                   f"cubic census mismatch at order {order}")
 
 
 @lru_cache(maxsize=None)
@@ -110,18 +115,7 @@ def small_graphs(n: int) -> tuple:
         return ()
     if n == 1:
         return (Graph(1),)
-    seen = {}
-    for g in small_graphs(n - 1):
-        base = list(g.edges)
-        for nbrs in range(1 << g.n):
-            extra = [(v, g.n) for v in range(g.n) if (nbrs >> v) & 1]
-            child = Graph(g.n + 1, base + extra)
-            cert = canonical_certificate(child)
-            if cert not in seen:
-                seen[cert] = child
-    members = tuple(seen[c] for c in sorted(seen))
-    expected = ALL_GRAPH_COUNTS.get(n)
-    if expected is not None and len(members) != expected:
-        raise RuntimeError(f"graph census mismatch at n={n}: "
-                           f"built {len(members)}, expected {expected}")
-    return members
+    children = (Graph(g.n + 1, list(g.edges) + [(v, g.n) for v in range(g.n)
+                                                 if nbrs >> v & 1])
+                for g in small_graphs(n - 1) for nbrs in range(1 << g.n))
+    return _census(children, ALL_GRAPH_COUNTS.get(n), f"graph census mismatch at n={n}")

@@ -228,7 +228,7 @@ def necklace(beads: int) -> Graph:
     g = Graph(n, edges)
     by_nbrs = {}
     for v in range(n):
-        by_nbrs.setdefault(g.adj[v], []).append(v)
+        by_nbrs.setdefault(g.bits[v], []).append(v)
     pairs = sum(1 for vs in by_nbrs.values() if len(vs) == 2)
     if pairs != 2 * beads:
         raise AssertionError(f"expected {2 * beads} twin pairs, found {pairs}")

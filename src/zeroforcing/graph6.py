@@ -67,9 +67,9 @@ def write_graph6(g: Graph) -> str:
     out = [chr(63 + g.n)]
     val = 0
     count = 0
-    for j in range(g.n):
+    for j, row in enumerate(g.bits):
         for i in range(j):
-            val = (val << 1) | (1 if g.has_edge(i, j) else 0)
+            val = (val << 1) | (row >> i & 1)
             count += 1
             if count == 6:
                 out.append(chr(63 + val))

@@ -1,10 +1,11 @@
 """Immutable simple-graph type plus the small-graph algorithms shared by every module.
 
-Vertices are dense integers 0..n-1.  Adjacency is kept both as frozensets (for
-readable code) and as integer bitmasks (for the hot combinatorial loops); the
-masks are Python integers, so they set no limit on the vertex count.  One
-breadth-first search over the masks, `_layers`, serves components, distance
-profiles, spanning-tree layers and the augmenting paths of edge connectivity.
+Vertices are dense integers 0..n-1.  Adjacency is the edge set, which gives a
+graph its value identity, plus one integer bitmask of neighbours per vertex,
+which every algorithm reads; the masks are Python integers, so they set no
+limit on the vertex count.  One breadth-first search over the masks,
+`_layers`, serves components, distance profiles, spanning-tree layers and the
+augmenting paths of edge connectivity.
 Edge connectivity runs those flows only between the vertices of a dominating
 set (Matula's rule), which meets both sides of any cut below the minimum
 degree and every component of a disconnected graph.
@@ -19,31 +20,27 @@ class Graph:
     """Simple undirected graph: no loops, no parallel edges, vertex ids 0..n-1.
 
     Instances are immutable value objects; they hash and compare by (n, edges)
-    and are safe to share between threads or cache.
+    and are safe to share between threads or cache.  `edges` holds each edge
+    once as (u, v) with u < v; bit v of bits[u] is set iff u and v are adjacent.
     """
 
-    __slots__ = ("n", "edges", "adj", "bits")
+    __slots__ = ("n", "edges", "bits")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         seen = set()
+        bits = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             seen.add((u, v) if u < v else (v, u))
-        adj = [set() for _ in range(n)]
-        bits = [0] * n
-        for u, v in seen:
-            adj[u].add(v)
-            adj[v].add(u)
             bits[u] |= 1 << v
             bits[v] |= 1 << u
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(seen))
-        object.__setattr__(self, "adj", tuple(frozenset(s) for s in adj))
         object.__setattr__(self, "bits", tuple(bits))
 
     def __setattr__(self, name, value):
@@ -60,19 +57,19 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.bits[v].bit_count()
 
     def degree_sequence(self) -> tuple:
-        return tuple(sorted(len(s) for s in self.adj))
+        return tuple(sorted(map(int.bit_count, self.bits)))
 
     def min_degree(self) -> int:
-        return min((len(s) for s in self.adj), default=0)
+        return min(map(int.bit_count, self.bits), default=0)
 
     def is_cubic(self) -> bool:
-        return self.n > 0 and all(len(s) == 3 for s in self.adj)
+        return self.n > 0 and all(b.bit_count() == 3 for b in self.bits)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return bool(self.bits[u] >> v & 1)
 
     def components(self) -> tuple:
         """Connected components as tuples of sorted vertex ids."""
@@ -90,6 +87,10 @@ class Graph:
     def induced(self, vertices) -> "Graph":
         """Induced subgraph relabeled to 0..k-1 in ascending vertex order."""
         vs = sorted(vertices)
+        if vs and not 0 <= vs[0] <= vs[-1] < self.n:
+            raise ValueError(f"vertex out of range for n={self.n}: {vs}")
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"repeated vertex in {vs}")
         index = {v: i for i, v in enumerate(vs)}
         edges = [(index[u], index[v]) for u, v in self.edges
                  if u in index and v in index]
@@ -209,11 +210,12 @@ def edge_connectivity(g: Graph) -> int:
 
 # --- canonical labelling: certificates, and orders that map one graph onto another ---
 
-def _refine(g: Graph, colors):
-    """Iterated neighborhood refinement with canonical color ids."""
+def _refine(nbrs, colors):
+    """Iterated neighborhood refinement with canonical color ids; nbrs[v]
+    lists v's neighbours."""
     while True:
-        keys = [(colors[v], tuple(sorted(colors[u] for u in g.adj[v])))
-                for v in range(g.n)]
+        keys = [(c, tuple(sorted(colors[u] for u in vs)))
+                for c, vs in zip(colors, nbrs)]
         remap = {k: i for i, k in enumerate(sorted(set(keys)))}
         new = [remap[k] for k in keys]
         if new == colors:
@@ -248,12 +250,19 @@ def canonical_labelling(g: Graph) -> tuple:
     automorphisms found so far, which all fix its prefix.  Skipped leaves
     repeat keys already seen, so the least key is still found.
     """
+    return _labelling(g, distance_profiles(g))
+
+
+def _labelling(g: Graph, profiles) -> tuple:
+    """`canonical_labelling` of g, given g's `distance_profiles`, for a
+    caller that has already computed them."""
     n = g.n
     if n == 0:
         return (0, 0), ()
     # a leaf's key holds the adjacency of positions (i, j), j < i, row by row
     # from its top bit, (1, 0), down to bit 0, (n-1, n-2)
     top = n * (n - 1) // 2 - 1
+    nbrs = [tuple(_mask_vertices(b)) for b in g.bits]
     path = []           # vertices individualized on the way to the current node
     first = None        # (key, path, order) of the first leaf
     best = None         # (key, order) of the first leaf with the least key
@@ -298,16 +307,15 @@ def canonical_labelling(g: Graph) -> tuple:
             nc = [c + 1 if c >= colors[v] else c for c in colors]
             nc[v] = colors[v]
             path.append(v)
-            resume = rec(_refine(g, nc), on_first_path and not explored)
+            resume = rec(_refine(nbrs, nc), on_first_path and not explored)
             path.pop()
             if resume < depth:
                 return resume
             explored.append(v)
         return depth
 
-    profiles = distance_profiles(g)
     rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
-    rec(_refine(g, [rank[p] for p in profiles]), True)
+    rec(_refine(nbrs, [rank[p] for p in profiles]), True)
     return (n, best[0]), tuple(best[1])
 
 

@@ -19,7 +19,8 @@ from functools import lru_cache
 
 from .families import FamilySpec, assemblies, block_sequences, build_family
 from .forcing import zero_forcing_number
-from .graphs import Graph, canonical_labelling, distance_profiles, edge_connectivity
+from .graphs import (Graph, _labelling, canonical_labelling, distance_profiles,
+                     edge_connectivity)
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,9 @@ class RecognitionResult:
         return f"zero forcing number {self.z} != 3"
 
 
-def _bucket_key(g: Graph) -> tuple:
-    """The sorted multiset of g's distance profiles, an isomorphism invariant."""
-    return tuple(sorted(distance_profiles(g)))
+def _bucket_key(profiles) -> tuple:
+    """The sorted multiset of a graph's distance profiles, an isomorphism invariant."""
+    return tuple(sorted(profiles))
 
 
 @lru_cache(maxsize=None)
@@ -58,8 +59,9 @@ def _index(order: int) -> dict:
     each bucket is labelled here, the others when a query first needs them."""
     index = {}
     for spec, g in assemblies(block_sequences(order)):
-        bucket = index.setdefault(_bucket_key(g), [])
-        bucket.append([spec, None if bucket else canonical_labelling(g)])
+        profiles = distance_profiles(g)
+        bucket = index.setdefault(_bucket_key(profiles), [])
+        bucket.append([spec, None if bucket else _labelling(g, profiles)])
     return index
 
 
@@ -75,8 +77,9 @@ def recognize_z3(g: Graph) -> RecognitionResult:
     z = zero_forcing_number(g).z
     if z != 3:
         return RecognitionResult(member=False, z=z)
-    cert, order = canonical_labelling(g)
-    for entry in _index(g.n).get(_bucket_key(g), ()):
+    profiles = distance_profiles(g)
+    cert, order = _labelling(g, profiles)
+    for entry in _index(g.n).get(_bucket_key(profiles), ()):
         if entry[1] is None:
             entry[1] = canonical_labelling(build_family(entry[0]))
         member_cert, member_order = entry[1]

@@ -44,30 +44,23 @@ def spanning_tree(g: Graph, root: int) -> SpanningTree:
     if not g.is_connected():
         raise ValueError("spanning tree needs a connected graph")
 
-    layers = [frozenset(_mask_vertices(layer)) for layer in _layers(g.bits, 1 << root)]
-    level = [0] * g.n
-    for depth, layer in enumerate(layers):
-        for v in layer:
-            level[v] = depth
-
+    masks = list(_layers(g.bits, 1 << root))
     deleted = set()
-    for u, v in g.edges:
-        if level[u] == level[v]:
-            deleted.add((u, v) if u < v else (v, u))
-    for layer in layers[1:]:
-        for x in layer:
-            parents = [u for u in g.adj[x] if level[u] == level[x] - 1]
-            if len(parents) > 1:
-                keep = max(parents, key=lambda u: (g.degree(u), u))
-                for u in parents:
-                    if u != keep:
-                        deleted.add((u, x) if u < x else (x, u))
+    previous = 0
+    for layer in masks:
+        for x in _mask_vertices(layer):
+            parents = list(_mask_vertices(g.bits[x] & previous))
+            keep = max(parents, key=lambda u: (g.degree(u), u), default=None)
+            dropped = [u for u in parents if u != keep]
+            dropped += _mask_vertices(g.bits[x] & layer)    # edges inside the layer
+            deleted.update((u, x) if u < x else (x, u) for u in dropped)
+        previous = layer
 
     tree = Graph(g.n, g.edges - deleted)
     if len(tree.edges) != g.n - 1:
         raise AssertionError("layer rules did not leave a spanning tree")
     return SpanningTree(tree=tree, root=root,
-                        layers=tuple(layers),
+                        layers=tuple(frozenset(_mask_vertices(m)) for m in masks),
                         deleted=frozenset(deleted))
 
 

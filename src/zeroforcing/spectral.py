@@ -95,7 +95,7 @@ def twin_classes(g: Graph) -> tuple:
     """Maximal classes of vertices with identical open neighborhoods."""
     groups = {}
     for v in range(g.n):
-        groups.setdefault(g.adj[v], []).append(v)
+        groups.setdefault(g.bits[v], []).append(v)
     return tuple(tuple(vs) for vs in groups.values() if len(vs) > 1)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import networkx
 import pytest
 
-from util import naive_closure
+from util import naive_closure, neighbor_sets
 from zeroforcing import (FamilySpec, Graph, block_sequences, build_family,
                          canonical_certificate, complete_graph, counterexample16,
                          edge_connectivity, family_members, heawood_graph,
@@ -270,9 +270,9 @@ class TestHeawood:
         assert networkx.girth(networkx.Graph(list(heawood_graph().edges))) == 6
 
     def test_every_point_pair_in_exactly_one_block(self):
-        g = heawood_graph()
+        nbrs = neighbor_sets(heawood_graph())
         for p, q in itertools.combinations(range(7), 2):
-            common = g.adj[p] & g.adj[q]
+            common = nbrs[p] & nbrs[q]
             assert len(common) == 1
 
 

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import load_catalog
-from util import naive_closure, naive_colex_least, random_graph
+from util import naive_closure, naive_colex_least, neighbor_sets, random_graph
 from zeroforcing import (Graph, closure, complete_graph, connected_cubic_graphs,
                          cycle_graph, family_members, heawood_graph,
                          is_zero_forcing_set, necklace, path_graph,
@@ -49,12 +49,13 @@ def graph_and_set(draw, max_n=9):
 
 def validate_trace(g, initial, derived):
     """Replay the forces and re-check legality of every step."""
+    nbrs = neighbor_sets(g)
     black = set(initial)
     forced = set()
     for u, v in derived.trace:
         assert u in black
         assert v not in black
-        whites = [w for w in g.adj[u] if w not in black]
+        whites = [w for w in nbrs[u] if w not in black]
         assert whites == [v]
         assert v not in initial
         assert v not in forced
@@ -63,7 +64,7 @@ def validate_trace(g, initial, derived):
     assert black == set(derived.black)
     # no further force is possible at the fixpoint
     for u in black:
-        assert len([w for w in g.adj[u] if w not in black]) != 1
+        assert len([w for w in nbrs[u] if w not in black]) != 1
 
 
 class TestClosure:
@@ -100,10 +101,11 @@ class TestClosure:
             g = random_graph(rng, rng.randint(1, 10))
             s = {v for v in range(g.n) if rng.random() < 0.35}
             expected = set(closure(g, s).black)
+            nbrs = neighbor_sets(g)
             black = set(s)
             while True:
                 moves = [(u, w[0]) for u in black
-                         if len(w := [x for x in g.adj[u] if x not in black]) == 1]
+                         if len(w := [x for x in nbrs[u] if x not in black]) == 1]
                 if not moves:
                     break
                 black.add(rng.choice(moves)[1])

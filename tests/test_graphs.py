@@ -63,10 +63,13 @@ class TestGraphType:
 
     @given(graphs())
     def test_adjacency_symmetric(self, g):
-        for u in range(g.n):
-            for v in g.adj[u]:
-                assert u in g.adj[v]
-                assert (g.bits[u] >> v) & 1
+        # bits, and the degrees and edges read from them, match the
+        # adjacency networkx builds from the edge set
+        host = to_networkx(g)
+        assert g.bits == tuple(sum(1 << v for v in host[u]) for u in range(g.n))
+        assert [g.degree(v) for v in range(g.n)] == [host.degree(v) for v in range(g.n)]
+        assert all(g.has_edge(u, v) == host.has_edge(u, v)
+                   for u in range(g.n) for v in range(g.n))
 
     def test_components(self):
         g = Graph(5, [(0, 1), (2, 3)])
@@ -77,6 +80,13 @@ class TestGraphType:
     def test_induced(self):
         g = complete_graph(5).induced([1, 3, 4])
         assert g == complete_graph(3)
+
+    @pytest.mark.parametrize("vertices, message", [([0, 5], "out of range"),
+                                                   ([-1, 0], "out of range"),
+                                                   ([0, 0, 1], "repeated")])
+    def test_induced_rejects_bad_vertices(self, vertices, message):
+        with pytest.raises(ValueError, match=message):
+            complete_graph(3).induced(vertices)
 
     def test_components_match_networkx(self):
         # every graph with 1-7 vertices, the empty graph, and random graphs

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from conftest import load_catalog
-from util import naive_closure, random_connected_graph, random_cubic_connected
+from util import (naive_closure, neighbor_sets, random_connected_graph,
+                  random_cubic_connected)
 from zeroforcing import (Graph, canonical_certificate, cycle_graph,
                          degree_census, path_graph, spanning_tree, write_graph6,
                          zero_forcing_number)
@@ -57,8 +58,9 @@ class TestConstruction:
             for u, v in result.tree.edges:
                 assert abs(level[u] - level[v]) == 1
             # layer recurrence: next layer is exactly the unseen neighborhood
+            nbrs = neighbor_sets(g)
             for i in range(1, len(result.layers)):
-                grown = {w for u in result.layers[i - 1] for w in g.adj[u]}
+                grown = {w for u in result.layers[i - 1] for w in nbrs[u]}
                 grown -= set(result.layers[i - 1])
                 if i >= 2:
                     grown -= set(result.layers[i - 2])

@@ -3,6 +3,7 @@
 import math
 import random
 
+import networkx
 import numpy as np
 import pytest
 import sympy
@@ -157,6 +158,17 @@ class TestTwins:
     def test_path_has_none(self):
         assert twin_bound(path_graph(5)) == 0
         assert twin_classes(path_graph(5)) == ()
+
+    def test_classes_match_networkx_neighborhoods(self):
+        # every graph with 0-7 vertices: vertices grouped by their networkx
+        # neighbor set, groups in order of their least vertex
+        for h in networkx.graph_atlas_g():
+            groups = {}
+            for v in sorted(h):
+                groups.setdefault(frozenset(h[v]), []).append(v)
+            expected = tuple(tuple(vs) for vs in groups.values() if len(vs) > 1)
+            g = Graph(h.number_of_nodes(), list(h.edges()))
+            assert twin_classes(g) == expected, h.edges()
 
     def test_adjacency_nullity_certifies_twin_bound(self):
         # equal rows for twins force at least twin_bound zero eigenvalues

@@ -14,14 +14,25 @@ import numpy as np
 from zeroforcing import Graph, canonical_labelling
 
 
+def neighbor_sets(g: Graph) -> list:
+    """Each vertex's neighbors as a set, read from the edge set alone, so
+    that an oracle built on it shares nothing with the library's bitmasks."""
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
 def naive_closure(g: Graph, initial) -> set:
     """Reference derived coloring: rescan every vertex until nothing changes."""
+    nbrs = neighbor_sets(g)
     black = set(initial)
     changed = True
     while changed:
         changed = False
         for u in sorted(black):
-            white = [v for v in g.adj[u] if v not in black]
+            white = [v for v in nbrs[u] if v not in black]
             if len(white) == 1:
                 black.add(white[0])
                 changed = True
