@@ -1,6 +1,6 @@
 """Zero forcing numbers, cubic graph families, and maximum-nullity bounds."""
 
-from .catalog import connected_cubic_graphs, small_graphs
+from .catalog import connected_cubic_graphs
 from .families import (FamilySpec, assemblies, block_sequences, build_family,
                        counterexample16, distinct_assemblies, family_members,
                        heawood_graph, ladder_m, ladder_t, necklace,

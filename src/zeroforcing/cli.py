@@ -37,8 +37,8 @@ def _vertex_list(text: str) -> list:
             f"expected comma-separated vertex ids, got {text!r}") from None
 
 
-def _gen_graphs(spec: list, order: int | None):
-    """Resolve a generator mini-spec into (label, Graph) pairs.
+def _gen_graphs(spec: list, order: int | None) -> list:
+    """Resolve a generator mini-spec into Graphs.
 
     Grammar: `family t=T m=M n1,..,nT` or `family --order N`;
     `prism N [sigma=i,j]`; `necklace B`; `heawood`; `cex16`.
@@ -46,14 +46,15 @@ def _gen_graphs(spec: list, order: int | None):
     if not spec:
         raise ValueError("gen needs a generator spec")
     kind, args = spec[0], spec[1:]
-    if kind == "heawood":
-        return [("heawood", families.heawood_graph())]
-    if kind == "cex16":
-        return [("cex16", families.counterexample16())]
+    if kind in ("heawood", "cex16"):
+        if args:
+            raise ValueError(f"usage: gen {kind}")
+        return [families.heawood_graph() if kind == "heawood"
+                else families.counterexample16()]
     if kind == "necklace":
         if len(args) != 1:
             raise ValueError("usage: gen necklace B")
-        return [(f"necklace({args[0]})", families.necklace(int(args[0])))]
+        return [families.necklace(int(args[0]))]
     if kind == "prism":
         if not args:
             raise ValueError("usage: gen prism N [sigma=i,j]")
@@ -67,15 +68,13 @@ def _gen_graphs(spec: list, order: int | None):
                 sigma = (int(pair[0]), int(pair[1]))
             else:
                 raise ValueError(f"unknown prism argument {extra!r}")
-        label = f"prism({n},{sigma or 'id'})"
-        return [(label, families.permutation_prism(n, sigma))]
+        return [families.permutation_prism(n, sigma)]
     if kind == "family":
         if order is not None:
-            return [(spec_.label(), g)
-                    for spec_, g in families.family_members(order)]
+            return [g for _, g in families.family_members(order)]
         params = dict(token.split("=", 1) for token in args if "=" in token)
         plain = [token for token in args if "=" not in token]
-        if "t" not in params or "m" not in params:
+        if set(params) != {"t", "m"} or len(plain) > 1 or len(args) != 2 + len(plain):
             raise ValueError("usage: gen family t=T m=M [n1,..,nT] | "
                              "gen family --order N")
         t, m = int(params["t"]), int(params["m"])
@@ -85,8 +84,7 @@ def _gen_graphs(spec: list, order: int | None):
         if len(indices) != t:
             raise ValueError(f"expected {t} ladder indices, got {len(indices)}")
         blocks = tuple([("M", ni) for ni in indices] + [("T", m)])
-        return [(spec_.label(), g)
-                for spec_, g in families.distinct_assemblies(blocks)]
+        return [g for _, g in families.distinct_assemblies(blocks)]
     raise ValueError(f"unknown generator {kind!r}")
 
 
@@ -129,7 +127,7 @@ def _spantree(args, line, g):
         return write_graph6(result.tree), True
     deleted = ",".join(f"({u},{v})" for u, v in sorted(result.deleted))
     extra = ""
-    if all(result.tree.degree(v) <= 3 for v in range(result.tree.n)):
+    if all(1 <= result.tree.degree(v) <= 3 for v in range(result.tree.n)):
         census = degree_census(result)
         extra = f"  n1={census.n1} n2={census.n2} n3={census.n3}"
     return (f"{write_graph6(result.tree)}  root={args.root}  "
@@ -204,7 +202,7 @@ def main(argv=None) -> int:
             out = files.enter_context(open(args.outfile, "w")) if args.outfile \
                 else sys.stdout
             if args.command == "gen":
-                for _, g in _gen_graphs(args.spec, args.order):
+                for g in _gen_graphs(args.spec, args.order):
                     print(write_graph6(g), file=out)
                 return 0
             status = 0

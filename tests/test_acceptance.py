@@ -12,12 +12,12 @@ import random
 import time
 
 from conftest import load_catalog
-from util import naive_closure, random_cubic_connected
+from util import atlas_graphs, naive_closure, random_cubic_connected
 from zeroforcing import (adjacency_matrix, bounds_report, complete_graph,
                          counterexample16, degree_census, edge_connectivity,
                          eigen_decomposition, family_members, find_clique_minor,
                          heawood_graph, is_zero_forcing_set, minor_model_violation,
-                         necklace, permutation_prism, recognize_z3, small_graphs,
+                         necklace, permutation_prism, recognize_z3,
                          spanning_tree, twin_bound, write_graph6,
                          zero_forcing_number)
 
@@ -170,10 +170,10 @@ def test_criterion_7_spanning_tree_properties():
 
 def test_criterion_8_solver_matches_exhaustive_oracle():
     with Criterion(8, "solver equals full-subset enumeration on all small graphs"):
-        counts = {n: len(small_graphs(n)) for n in range(1, 8)}
+        counts = {n: len(atlas_graphs(n)) for n in range(1, 8)}
         assert counts[7] == 1044
         for n in range(1, 8):
-            for g in small_graphs(n):
+            for g in atlas_graphs(n):
                 naive = min(
                     (k for k in range(1, g.n + 1)
                      for combo in itertools.combinations(range(g.n), k)

@@ -1,12 +1,10 @@
-"""Catalog generators and the shipped graph6 fixtures."""
-
-import itertools
+"""The connected cubic census and the shipped graph6 fixtures."""
 
 import pytest
 
 from conftest import load_catalog
-from zeroforcing import (canonical_certificate, connected_cubic_graphs,
-                         small_graphs, write_graph6)
+from zeroforcing import catalog
+from zeroforcing import canonical_certificate, connected_cubic_graphs, write_graph6
 
 
 def test_connected_cubic_counts():
@@ -33,13 +31,15 @@ def test_odd_and_tiny_orders_empty():
     assert connected_cubic_graphs(2) == ()
 
 
-def test_small_graph_counts():
-    assert [len(small_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
-
-
-def test_small_graphs_distinct():
-    certs = {canonical_certificate(g) for g in small_graphs(5)}
-    assert len(certs) == 34
+def test_census_mismatch_raises(monkeypatch):
+    monkeypatch.setitem(catalog.CONNECTED_CUBIC_COUNTS, 8, 6)
+    connected_cubic_graphs.cache_clear()
+    try:
+        with pytest.raises(RuntimeError) as info:
+            connected_cubic_graphs(8)
+    finally:
+        connected_cubic_graphs.cache_clear()
+    assert str(info.value) == "cubic census mismatch at order 8: built 5, expected 6"
 
 
 @pytest.mark.parametrize("order,count",

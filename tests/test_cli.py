@@ -135,6 +135,25 @@ def test_gen_prism_sigma_needs_two_indices():
     assert err == "zeroforcing: usage: gen prism N [sigma=i,j]\n"
 
 
+@pytest.mark.parametrize("spec", [["heawood", "extra"], ["cex16", "junk"],
+                                  ["family", "t=1", "m=0", "0", "junk"],
+                                  ["family", "t=2", "t=1", "m=0", "0"],
+                                  ["necklace", "3", "4"]],
+                         ids=["heawood", "cex16", "family", "family-repeated-key",
+                              "necklace"])
+def test_gen_trailing_tokens_are_a_generator_error(spec):
+    code, out, err = run_cli(["gen", *spec])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("zeroforcing: usage: gen ")
+
+
+def test_spantree_k1_prints_the_tree_without_a_census():
+    # the single vertex has degree 0, outside the census's degrees 1-3
+    code, out, err = run_cli(["spantree"], stdin="@\n")
+    assert (code, out, err) == (0, "@  root=0  deleted=[]\n", "")
+
+
 def test_spantree_text_and_graph6(capsys, tmp_path):
     path = tmp_path / "c4.g6"
     path.write_text(write_graph6(cycle_graph(4)) + "\n")

@@ -172,7 +172,9 @@ class TestBuildFamily:
                 for perms in itertools.product(itertools.permutations(range(3)),
                                                repeat=len(blocks) - 1):
                     spec = FamilySpec(blocks=blocks, matchings=perms)
-                    assert build_family(spec) == chained_family(spec), spec
+                    g = build_family(spec)
+                    assert g == chained_family(spec), spec
+                    assert_cubic_connected(g)
                     specs += 1
         assert specs == 1 + 1 + 7 + 13 + 55 + 133 + 463 + 1261    # orders 4, 6, ..., 18
 

@@ -1,12 +1,41 @@
-"""The README's library tour runs as written against the package."""
+"""The README's library tour and CLI pipes run as written against the package."""
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from test_cli import run_cli
+
 README = Path(__file__).parents[1] / "README.md"
+
+# each stdin pipe of the CLI section, with a text its last stage prints
+PIPES = {
+    "zeroforcing gen heawood | zeroforcing bounds": "verdict: M=6",
+    "zeroforcing gen family --order 4 | zeroforcing recognize": "  member  spec=",
+    "zeroforcing gen necklace 3 | zeroforcing spantree --root 0": "",
+    "zeroforcing gen prism 5 sigma=1,2 | zeroforcing zf": "",
+}
 
 
 def test_library_tour_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_cli_section_lists_the_pipes():
+    block = re.search(r"## CLI.*?```sh\n(.*?)```", README.read_text(), re.DOTALL)
+    pipes = [line.split("#")[0].strip() for line in block[1].splitlines()
+             if " | " in line]
+    assert pipes == list(PIPES)
+
+
+@pytest.mark.parametrize("pipe", list(PIPES), ids=lambda pipe: pipe.split()[2])
+def test_cli_pipe_runs(pipe):
+    out = ""
+    for stage in pipe.split(" | "):
+        code, out, err = run_cli(shlex.split(stage)[1:], stdin=out)
+        assert code == 0, (stage, err)
+    assert PIPES[pipe] in out

@@ -9,14 +9,15 @@ import pytest
 import sympy
 
 from conftest import load_catalog
-from util import naive_eigen_clusters, random_connected_graph, random_graph
+from util import (atlas_graphs, naive_eigen_clusters, random_connected_graph,
+                  random_graph)
 from zeroforcing import spectral
 from zeroforcing import (Graph, MinorModel, adjacency_matrix, bounds_report,
                          complete_bipartite, complete_graph, cycle_graph,
                          eigen_decomposition, find_clique_minor, heawood_graph,
                          max_multiplicity_bound, minor_model_violation,
-                         necklace, path_graph, permutation_prism, small_graphs,
-                         twin_bound, twin_classes, zero_forcing_number)
+                         necklace, path_graph, permutation_prism, twin_bound,
+                         twin_classes, zero_forcing_number)
 
 
 def petersen() -> Graph:
@@ -173,7 +174,7 @@ class TestTwins:
     def test_adjacency_nullity_certifies_twin_bound(self):
         # equal rows for twins force at least twin_bound zero eigenvalues
         for n in range(2, 7):
-            for g in small_graphs(n):
+            for g in atlas_graphs(n):
                 bound = twin_bound(g)
                 if bound:
                     report = eigen_decomposition(adjacency_matrix(g))
@@ -181,7 +182,7 @@ class TestTwins:
 
     def test_twin_bound_below_forcing_number(self):
         for n in range(1, 7):
-            for g in small_graphs(n):
+            for g in atlas_graphs(n):
                 assert twin_bound(g) <= zero_forcing_number(g).z
 
 

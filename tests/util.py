@@ -6,12 +6,21 @@ so that agreement tests actually compare two implementations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
+import networkx
 import numpy as np
 
 from zeroforcing import Graph, canonical_labelling
+
+
+@functools.lru_cache(maxsize=None)
+def atlas_graphs(n: int) -> tuple:
+    """Every graph on n <= 7 vertices up to isomorphism, from networkx's atlas."""
+    return tuple(Graph(n, list(h.edges())) for h in networkx.graph_atlas_g()
+                 if h.number_of_nodes() == n)
 
 
 def neighbor_sets(g: Graph) -> list:
