@@ -67,7 +67,7 @@ def _gen_graphs(spec: list, order: int | None) -> list:
                     raise ValueError("usage: gen prism N [sigma=i,j]")
                 sigma = (int(pair[0]), int(pair[1]))
             else:
-                raise ValueError(f"unknown prism argument {extra!r}")
+                raise ValueError("usage: gen prism N [sigma=i,j]")
         return [families.permutation_prism(n, sigma)]
     if kind == "family":
         if order is not None:

@@ -250,29 +250,43 @@ def canonical_labelling(g: Graph) -> tuple:
     automorphisms found so far, which all fix its prefix.  Skipped leaves
     repeat keys already seen, so the least key is still found.
     """
-    return _labelling(g, distance_profiles(g))
+    return _labelling(g, distance_profiles(g))[:2]
+
+
+def _find(parent, x):
+    """Root of x in the union-find forest `parent`, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, x, y):
+    """Join the trees of x and y in the union-find forest `parent`, under the
+    lesser root, so that each root is the least element of its tree."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    parent[max(rx, ry)] = min(rx, ry)
 
 
 def _labelling(g: Graph, profiles) -> tuple:
-    """`canonical_labelling` of g, given g's `distance_profiles`, for a
-    caller that has already computed them."""
+    """(certificate, order, automorphisms): `canonical_labelling` of g, given
+    g's `distance_profiles`, for a caller that has already computed them,
+    plus the automorphisms its first-path pruning found, each a tuple p
+    with p[v] the image of v.  Every one is an automorphism of g, and
+    together they generate Aut(g) (McKay & Piperno 2014), found at no extra
+    search cost."""
     n = g.n
     if n == 0:
-        return (0, 0), ()
+        return (0, 0), (), ()
     # a leaf's key holds the adjacency of positions (i, j), j < i, row by row
     # from its top bit, (1, 0), down to bit 0, (n-1, n-2)
     top = n * (n - 1) // 2 - 1
     nbrs = [tuple(_mask_vertices(b)) for b in g.bits]
     path = []           # vertices individualized on the way to the current node
-    first = None        # (key, path, order) of the first leaf
+    first = None        # (key, path, colors) of the first leaf
     best = None         # (key, order) of the first leaf with the least key
+    automorphisms = []
     orbit = list(range(n))    # union-find over the automorphisms found so far
-
-    def find(x):
-        while orbit[x] != x:
-            orbit[x] = orbit[orbit[x]]
-            x = orbit[x]
-        return x
 
     def rec(colors, on_first_path):
         """Search below the node; returns the depth the search resumes at."""
@@ -291,18 +305,22 @@ def _labelling(g: Graph, profiles) -> tuple:
             if best is None or key < best[0]:
                 best = (key, order)
             if first is None:
-                first = (key, tuple(path), order)
-            elif key == first[0]:       # automorphism first[2][i] -> order[i]
-                for u, w in zip(first[2], order):
-                    ru, rw = find(u), find(w)
-                    orbit[max(ru, rw)] = min(ru, rw)
+                first = (key, tuple(path), colors)
+            elif key == first[0]:
+                # the vertex at each position of the first leaf goes to the
+                # vertex at the same position here
+                image = tuple([order[i] for i in first[2]])
+                automorphisms.append(image)
+                for u, w in enumerate(image):
+                    _union(orbit, u, w)
                 return next(i for i, (u, w) in enumerate(zip(path, first[1])) if u != w)
             return depth
         explored = []
         for v in cells[split[0]]:
             # while a first-path node is open, every automorphism found so
             # far diverged below it, so each one fixes the node's prefix
-            if on_first_path and find(v) in {find(u) for u in explored}:
+            if on_first_path and (_find(orbit, v)
+                                  in {_find(orbit, u) for u in explored}):
                 continue
             nc = [c + 1 if c >= colors[v] else c for c in colors]
             nc[v] = colors[v]
@@ -316,7 +334,7 @@ def _labelling(g: Graph, profiles) -> tuple:
 
     rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
     rec(_refine(nbrs, [rank[p] for p in profiles]), True)
-    return (n, best[0]), tuple(best[1])
+    return (n, best[0]), tuple(best[1]), tuple(automorphisms)
 
 
 def canonical_certificate(g: Graph) -> tuple:

@@ -61,7 +61,7 @@ def _index(order: int) -> dict:
     for spec, g in assemblies(block_sequences(order)):
         profiles = distance_profiles(g)
         bucket = index.setdefault(_bucket_key(profiles), [])
-        bucket.append([spec, None if bucket else _labelling(g, profiles)])
+        bucket.append([spec, None if bucket else _labelling(g, profiles)[:2]])
     return index
 
 
@@ -78,7 +78,7 @@ def recognize_z3(g: Graph) -> RecognitionResult:
     if z != 3:
         return RecognitionResult(member=False, z=z)
     profiles = distance_profiles(g)
-    cert, order = _labelling(g, profiles)
+    cert, order, _ = _labelling(g, profiles)
     for entry in _index(g.n).get(_bucket_key(profiles), ()):
         if entry[1] is None:
             entry[1] = canonical_labelling(build_family(entry[0]))

@@ -41,22 +41,6 @@ def test_zf_tsv(capsys, tmp_path):
     assert capsys.readouterr().out == "Ch\t1\t{0}\n"
 
 
-def test_gen_bounds_pipe():
-    code, out, _ = run_cli(["gen", "heawood"])
-    assert code == 0
-    code, out, _ = run_cli(["bounds"], stdin=out)
-    assert code == 0
-    assert "L: 6" in out and "U: 6" in out and "verdict: M=6" in out
-
-
-def test_gen_family_recognize_pipe():
-    code, out, _ = run_cli(["gen", "family", "--order", "4"])
-    assert code == 0
-    code, out, _ = run_cli(["recognize"], stdin=out)
-    assert code == 0
-    assert out.strip().endswith("member  spec=apex(T0)")
-
-
 def test_gen_matches_library(capsys):
     assert main(["gen", "necklace", "3"]) == 0
     assert capsys.readouterr().out == write_graph6(necklace(3)) + "\n"
@@ -138,9 +122,9 @@ def test_gen_prism_sigma_needs_two_indices():
 @pytest.mark.parametrize("spec", [["heawood", "extra"], ["cex16", "junk"],
                                   ["family", "t=1", "m=0", "0", "junk"],
                                   ["family", "t=2", "t=1", "m=0", "0"],
-                                  ["necklace", "3", "4"]],
+                                  ["necklace", "3", "4"], ["prism", "6", "junk"]],
                          ids=["heawood", "cex16", "family", "family-repeated-key",
-                              "necklace"])
+                              "necklace", "prism"])
 def test_gen_trailing_tokens_are_a_generator_error(spec):
     code, out, err = run_cli(["gen", *spec])
     assert code == 1

@@ -5,6 +5,7 @@ import random
 
 import networkx
 from networkx.algorithms.connectivity import local_edge_connectivity
+from networkx.algorithms.isomorphism import GraphMatcher
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from zeroforcing import (Graph, canonical_certificate, complete_bipartite,
                          complete_graph, cycle_graph, edge_connectivity,
                          heawood_graph, necklace, parse_graph6, path_graph,
                          permutation_prism)
-from zeroforcing.graphs import _max_flow_unit
+from zeroforcing.graphs import _labelling, _max_flow_unit, distance_profiles
 
 
 def to_networkx(g: Graph) -> networkx.Graph:
@@ -373,3 +374,47 @@ class TestCanonicalCertificate:
             assert mapping_is_valid(g, h, canonical_mapping(g, h))
             certs.add(cert)
         assert len(certs) == 1252
+
+
+class TestAutomorphisms:
+    """The automorphisms `_labelling` reports from its first-path pruning."""
+
+    @staticmethod
+    def automorphisms(g):
+        return _labelling(g, distance_profiles(g))[2]
+
+    @staticmethod
+    def orbits(n, perms):
+        # the orbits of the group the perms generate are the components of
+        # the graph joining each vertex to its images
+        links = networkx.Graph()
+        links.add_nodes_from(range(n))
+        links.add_edges_from((v, p[v]) for p in perms for v in range(n))
+        return sorted(map(sorted, networkx.connected_components(links)))
+
+    def test_map_edges_onto_edges(self):
+        rng = random.Random(11)
+        inputs = [Graph(h.number_of_nodes(), list(h.edges()))
+                  for h in networkx.graph_atlas_g()[1:]]
+        inputs += [permuted_copy(rng, g) for order in range(4, 15, 2)
+                   for g in load_catalog(order)[:20]]
+        found = 0
+        for g in inputs:
+            for p in self.automorphisms(g):
+                assert sorted(p) == list(range(g.n))
+                assert {tuple(sorted((p[u], p[v]))) for u, v in g.edges} == g.edges
+                found += 1
+        # most atlas graphs are symmetric, so the check is not vacuous
+        assert found > len(inputs)
+
+    def test_orbits_match_networkx(self):
+        # cubic fixtures of orders 4-10, then vertex-transitive inputs, whose
+        # vertices all lie in one orbit
+        petersen = Graph(10, networkx.petersen_graph().edges())
+        inputs = [g for order in (4, 6, 8, 10) for g in load_catalog(order)]
+        inputs += [complete_bipartite(3, 3), petersen, heawood_graph()]
+        for g in inputs:
+            host = to_networkx(g)
+            full = list(GraphMatcher(host, host).isomorphisms_iter())
+            expected = self.orbits(g.n, [[m[v] for v in range(g.n)] for m in full])
+            assert self.orbits(g.n, self.automorphisms(g)) == expected

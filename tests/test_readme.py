@@ -13,7 +13,8 @@ README = Path(__file__).parents[1] / "README.md"
 # each stdin pipe of the CLI section, with a text its last stage prints
 PIPES = {
     "zeroforcing gen heawood | zeroforcing bounds": "verdict: M=6",
-    "zeroforcing gen family --order 4 | zeroforcing recognize": "  member  spec=",
+    "zeroforcing gen family --order 4 | zeroforcing recognize":
+        "  member  spec=apex(T0)\n",
     "zeroforcing gen necklace 3 | zeroforcing spantree --root 0": "",
     "zeroforcing gen prism 5 sigma=1,2 | zeroforcing zf": "",
 }
