@@ -21,14 +21,14 @@ A pick is the set of parent edges one child replaces.  Picks are pruned by
 the parent's automorphisms (the orbit pruning of Brinkmann, Goedgebeur &
 McKay, Generation of cubic graphs, DMTCS 2011): of the picks that
 automorphisms map onto each other, only the first is built.  Each member
-keeps the automorphisms its own labelling found, so pruning costs no extra
-search.  It rests on one condition, which every row of `MOVES` meets: the
-gadget edges are invariant, up to a relabelling of the new vertices, under
-swapping "a" with "b", "c" with "d", and the pair ("a", "b") with
-("c", "d").  Then picks in one orbit give isomorphic children, in whichever
-order or direction the automorphism carries the replaced edges.  Any set of
-true automorphisms keeps the census exact; one that generates less than the
-whole group only prunes less.
+keeps the automorphisms `canonical_labelling` returned for it, so pruning
+costs no extra search.  It rests on one condition, which every row of
+`MOVES` meets: the gadget edges are invariant, up to a relabelling of the
+new vertices, under swapping "a" with "b", "c" with "d", and the pair
+("a", "b") with ("c", "d").  Then picks in one orbit give isomorphic
+children, in whichever order or direction the automorphism carries the
+replaced edges.  Any set of true automorphisms keeps the census exact; one
+that generates less than the whole group only prunes less.
 
 The catalog lists its members in ascending certificate order, each class
 represented by the first child that reached it, with children made row by
@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .graphs import Graph, _find, _labelling, _union, distance_profiles
+from .graphs import Graph, _find, _union, canonical_labelling
 
 CONNECTED_CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060}
 
@@ -93,12 +93,12 @@ def _census(order: int) -> tuple:
         return ()
     if order == 4:
         k4 = Graph(4, itertools.combinations(range(4), 2))
-        return ((k4, _labelling(k4, distance_profiles(k4))[2]),)
+        return ((k4, canonical_labelling(k4)[2]),)
     seen = {}
     for new, picks, gadget in MOVES:
         for parent, automorphisms in _census(order - new):
             for child in _children(parent, automorphisms, new, picks, gadget):
-                cert, _, found = _labelling(child, distance_profiles(child))
+                cert, _, found = canonical_labelling(child)
                 seen.setdefault(cert, (child, found))
     members = tuple(seen[c] for c in sorted(seen))
     expected = CONNECTED_CUBIC_COUNTS.get(order)

@@ -232,27 +232,6 @@ def distance_profiles(g: Graph) -> list:
             for v in range(g.n)]
 
 
-def canonical_labelling(g: Graph) -> tuple:
-    """(certificate, order): equal certificates iff the graphs are isomorphic;
-    order[i] is the vertex at canonical position i.
-
-    Individualization-refinement: each node individualizes one vertex of the
-    first non-singleton color class and refines, down to discrete colorings.
-    The root coloring ranks the `distance_profiles` (the first count is the
-    degree): ranking the sorted set of profiles gives isomorphic graphs the
-    same colors on corresponding vertices.  On a regular graph this splits
-    the root where degrees alone would not.
-    The certificate is (n, least adjacency bitstring over those leaves), and
-    `order` comes from the first leaf that gives it.  First-path automorphism
-    pruning (McKay & Piperno, Practical graph isomorphism II, 2014): a leaf
-    equal to the first leaf gives an automorphism, and the search unwinds to
-    their common prefix; a first-path node tries one child per orbit of the
-    automorphisms found so far, which all fix its prefix.  Skipped leaves
-    repeat keys already seen, so the least key is still found.
-    """
-    return _labelling(g, distance_profiles(g))[:2]
-
-
 def _find(parent, x):
     """Root of x in the union-find forest `parent`, halving the path on the way."""
     while parent[x] != x:
@@ -268,13 +247,28 @@ def _union(parent, x, y):
     parent[max(rx, ry)] = min(rx, ry)
 
 
-def _labelling(g: Graph, profiles) -> tuple:
-    """(certificate, order, automorphisms): `canonical_labelling` of g, given
-    g's `distance_profiles`, for a caller that has already computed them,
-    plus the automorphisms its first-path pruning found, each a tuple p
-    with p[v] the image of v.  Every one is an automorphism of g, and
-    together they generate Aut(g) (McKay & Piperno 2014), found at no extra
-    search cost."""
+def canonical_labelling(g: Graph, profiles=None) -> tuple:
+    """(certificate, order, automorphisms): equal certificates iff the graphs
+    are isomorphic; order[i] is the vertex at canonical position i.
+
+    Individualization-refinement: each node individualizes one vertex of the
+    first non-singleton color class and refines, down to discrete colorings.
+    The root coloring ranks the `distance_profiles` (the first count is the
+    degree): ranking the sorted set of profiles gives isomorphic graphs the
+    same colors on corresponding vertices.  On a regular graph this splits
+    the root where degrees alone would not.  A caller that already has g's
+    own `distance_profiles` passes them as `profiles`; if None, they are
+    computed here.
+    The certificate is (n, least adjacency bitstring over those leaves), and
+    `order` comes from the first leaf that gives it.  First-path automorphism
+    pruning (McKay & Piperno, Practical graph isomorphism II, 2014): a leaf
+    equal to the first leaf gives an automorphism, and the search unwinds to
+    their common prefix; a first-path node tries one child per orbit of the
+    automorphisms found so far, which all fix its prefix.  Skipped leaves
+    repeat keys already seen, so the least key is still found.  Each
+    automorphism is a tuple p with p[v] the image of v, and together they
+    generate Aut(g), found at no extra search cost.
+    """
     n = g.n
     if n == 0:
         return (0, 0), (), ()
@@ -332,6 +326,8 @@ def _labelling(g: Graph, profiles) -> tuple:
             explored.append(v)
         return depth
 
+    if profiles is None:
+        profiles = distance_profiles(g)
     rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
     rec(_refine(nbrs, [rank[p] for p in profiles]), True)
     return (n, best[0]), tuple(best[1]), tuple(automorphisms)

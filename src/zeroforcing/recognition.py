@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .families import FamilySpec, assemblies, block_sequences, build_family
 from .forcing import zero_forcing_number
-from .graphs import (Graph, _labelling, canonical_labelling, distance_profiles,
+from .graphs import (Graph, canonical_labelling, distance_profiles,
                      edge_connectivity)
 
 
@@ -38,14 +38,6 @@ class RecognitionResult:
     edge_connectivity: int | None = None
     z: int | None = None
 
-    @property
-    def reason(self) -> str:
-        if self.member:
-            return f"member {self.spec.label()}"
-        if self.edge_connectivity is not None:
-            return f"edge connectivity {self.edge_connectivity} < 3"
-        return f"zero forcing number {self.z} != 3"
-
 
 def _bucket_key(profiles) -> tuple:
     """The sorted multiset of a graph's distance profiles, an isomorphism invariant."""
@@ -61,7 +53,8 @@ def _index(order: int) -> dict:
     for spec, g in assemblies(block_sequences(order)):
         profiles = distance_profiles(g)
         bucket = index.setdefault(_bucket_key(profiles), [])
-        bucket.append([spec, None if bucket else _labelling(g, profiles)[:2]])
+        bucket.append([spec, None if bucket
+                       else canonical_labelling(g, profiles)[:2]])
     return index
 
 
@@ -78,10 +71,10 @@ def recognize_z3(g: Graph) -> RecognitionResult:
     if z != 3:
         return RecognitionResult(member=False, z=z)
     profiles = distance_profiles(g)
-    cert, order, _ = _labelling(g, profiles)
+    cert, order, _ = canonical_labelling(g, profiles)
     for entry in _index(g.n).get(_bucket_key(profiles), ()):
         if entry[1] is None:
-            entry[1] = canonical_labelling(build_family(entry[0]))
+            entry[1] = canonical_labelling(build_family(entry[0]))[:2]
         member_cert, member_order = entry[1]
         if member_cert == cert:
             mapping = tuple(w for _, w in sorted(zip(member_order, order)))

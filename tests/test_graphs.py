@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from conftest import load_catalog
 from util import (brute_force_isomorphic, canonical_mapping, mapping_is_valid,
                   permuted_copy, random_connected_graph, random_graph)
-from zeroforcing import (Graph, canonical_certificate, complete_bipartite,
-                         complete_graph, cycle_graph, edge_connectivity,
-                         heawood_graph, necklace, parse_graph6, path_graph,
-                         permutation_prism)
-from zeroforcing.graphs import _labelling, _max_flow_unit, distance_profiles
+from zeroforcing import (Graph, canonical_certificate, canonical_labelling,
+                         complete_bipartite, complete_graph, cycle_graph,
+                         edge_connectivity, heawood_graph, necklace,
+                         parse_graph6, path_graph, permutation_prism)
+from zeroforcing.graphs import _max_flow_unit, distance_profiles
 
 
 def to_networkx(g: Graph) -> networkx.Graph:
@@ -329,6 +329,9 @@ class TestCanonicalCertificate:
             h = permuted_copy(rng, g)
             assert canonical_certificate(h) == canonical_certificate(g)
             assert mapping_is_valid(g, h, canonical_mapping(g, h))
+            if g.n <= 12:
+                assert canonical_labelling(g, distance_profiles(g)) == \
+                    canonical_labelling(g)
 
     def test_uniform_distance_profiles(self):
         # every vertex has the same profile, so the seed splits nothing and
@@ -372,16 +375,19 @@ class TestCanonicalCertificate:
             cert = canonical_certificate(g)
             assert canonical_certificate(h) == cert
             assert mapping_is_valid(g, h, canonical_mapping(g, h))
+            # profiles passed in give the labelling computed without them
+            assert canonical_labelling(g, distance_profiles(g)) == \
+                canonical_labelling(g)
             certs.add(cert)
         assert len(certs) == 1252
 
 
 class TestAutomorphisms:
-    """The automorphisms `_labelling` reports from its first-path pruning."""
+    """The automorphisms `canonical_labelling` finds by first-path pruning."""
 
     @staticmethod
     def automorphisms(g):
-        return _labelling(g, distance_profiles(g))[2]
+        return canonical_labelling(g)[2]
 
     @staticmethod
     def orbits(n, perms):

@@ -92,7 +92,7 @@ class TestCertificates:
 
 class TestOrderOfChecks:
     def test_non_members_are_solved_without_labelling(self, monkeypatch):
-        def no_labelling(g):
+        def no_labelling(*args):
             pytest.fail("a graph with Z != 3 was labelled")
         monkeypatch.setattr(recognition, "canonical_labelling", no_labelling)
         for g, z in ((heawood_graph(), 6), (complete_bipartite(3, 3), 4)):

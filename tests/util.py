@@ -75,8 +75,8 @@ def canonical_mapping(g: Graph, h: Graph):
     """Vertex map g -> h from two canonical labellings, or None when the
     certificates differ: g's vertex at each canonical position goes to h's
     vertex at the same position (the map `recognize_z3` builds)."""
-    cert_g, order_g = canonical_labelling(g)
-    cert_h, order_h = canonical_labelling(h)
+    cert_g, order_g, _ = canonical_labelling(g)
+    cert_h, order_h, _ = canonical_labelling(h)
     if cert_g != cert_h:
         return None
     return tuple(w for _, w in sorted(zip(order_g, order_h)))
