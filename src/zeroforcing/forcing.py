@@ -11,6 +11,13 @@ The bought set forces: by induction along the path, its closure contains
 every state on the path, because at each step v and all its other neighbors
 are black in it, so v forces the one left.  The steps buy disjoint sets of
 vertices white at the time, so the witness has exactly Z members.
+
+Three rules cut work without changing which states yield children, what their
+paths bought, Z or the witness.  Every step buys at least one vertex, so a
+state that costs the cap already is not expanded, and a child that reaches
+the cap short of the full set is not stored: neither could lead to a path
+within the cap.  A closure depends only on its input set, so each search
+closes a set once and looks it up after that.
 """
 
 from __future__ import annotations
@@ -105,18 +112,25 @@ def _wavefront(bits, full: int, cap: int):
     the full set, or None if its cost exceeds cap.  A step at v buys v, if
     white, and all but the highest of its white neighbors, after which v
     forces that one; the cost is what was bought.  Steps are taken at the
-    vertices of `full`, which must be closed under adjacency."""
+    vertices of `full`, which must be closed under adjacency.
+
+    Every step buys at least one vertex, so states costing the cap are not
+    expanded and children at the cap other than the full set are dropped.
+    A closure depends only on its input set, so closures are memoized by
+    that set for the length of this call."""
     closed = [(bits[v], bits[v] | (1 << v)) for v in _mask_vertices(full)]  # N(v), N[v]
     start = _close_mask(bits, 0, full)
     # state -> what the cheapest path found to it bought; the steps buy
     # disjoint sets, so the path's cost is the size of that set
     bought = {start: 0}
+    closures = {}  # s | gained -> its closure, for this search only
     heap = [(0, start)]
     while heap:
         cost, s = heapq.heappop(heap)
         if s == full:
             return cost, bought[s]
-        if cost > bought[s].bit_count():
+        # a stale entry, or one whose every child would cost more than cap
+        if cost > bought[s].bit_count() or cost >= cap:
             continue
         for nb, nv in closed:
             gained = nv & ~s
@@ -130,7 +144,11 @@ def _wavefront(bits, full: int, cap: int):
             t_cost = cost + step.bit_count()
             if t_cost > cap:
                 continue
-            t = _close_mask(bits, s | gained, full)
+            t = closures.get(s | gained)
+            if t is None:
+                t = closures[s | gained] = _close_mask(bits, s | gained, full)
+            if t_cost == cap and t != full:
+                continue  # it could only be expanded past the cap
             if t not in bought or t_cost < bought[t].bit_count():
                 bought[t] = bought[s] | step
                 heapq.heappush(heap, (t_cost, t))

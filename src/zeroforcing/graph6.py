@@ -30,6 +30,9 @@ def parse_graph6(text: str) -> Graph:
         line = line[base:]
     if not line:
         raise Graph6Error("empty graph6 record", base)
+    if line[0] == "~":
+        raise Graph6Error("length field '~' (the size form for n >= 63) "
+                          "is not supported", base)
     size = ord(line[0]) - 63
     if not 0 <= size <= 62:
         raise Graph6Error(f"malformed length field {line[0]!r}", base)

@@ -9,9 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import load_catalog
-from util import naive_closure, naive_colex_least, neighbor_sets, random_graph
+from util import (naive_closure, naive_colex_least, naive_wavefront,
+                  neighbor_sets, random_graph)
 from zeroforcing import (Graph, closure, complete_graph, connected_cubic_graphs,
-                         cycle_graph, family_members, heawood_graph,
+                         cycle_graph, family_members, forcing, heawood_graph,
                          is_zero_forcing_set, necklace, path_graph,
                          zero_forcing_number)
 
@@ -222,3 +223,46 @@ class TestSolver:
         for order in (4, 6, 8):
             for g in connected_cubic_graphs(order):
                 assert zero_forcing_number(g).z >= 3
+
+
+def oracle_cases(source):
+    """(label, graph) pairs for the solver-against-oracle test."""
+    if source == "cubic":
+        return [(f"cubic{order:02d} #{i}", g) for order in range(4, 15, 2)
+                for i, g in enumerate(load_catalog(order), start=1)]
+    if source == "family":
+        return [(spec.label(), g) for order in range(4, 19)
+                for spec, g in family_members(order)]
+    if source == "necklace":
+        return [(f"necklace({b})", necklace(b)) for b in (3, 4, 5)]
+    return [(f"atlas {i}", g) for i, g in enumerate(ATLAS, start=1)
+            if g.is_connected()]
+
+
+class TestWavefront:
+    @pytest.mark.parametrize("source", ["cubic", "family", "necklace", "atlas"])
+    def test_matches_unpruned_oracle_at_every_cap(self, source):
+        for label, g in oracle_cases(source):
+            full = (1 << g.n) - 1
+            for cap in range(1, g.n + 1):
+                assert (forcing._wavefront(g.bits, full, cap)
+                        == naive_wavefront(g.bits, full, cap)), f"{label}, cap {cap}"
+
+    def test_closes_each_set_once(self, monkeypatch):
+        closed = []
+        close_mask = forcing._close_mask
+
+        def record(bits, black, full, trace=None):
+            closed.append(black)
+            return close_mask(bits, black, full, trace)
+
+        monkeypatch.setattr(forcing, "_close_mask", record)
+        for g in (heawood_graph(), necklace(4)):
+            full = (1 << g.n) - 1
+            closed.clear()
+            forcing._wavefront(g.bits, full, g.n)
+            memoized = list(closed)
+            closed.clear()
+            naive_wavefront(g.bits, full, g.n)
+            assert len(set(memoized)) == len(memoized)
+            assert len(memoized) < len(closed)

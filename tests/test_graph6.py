@@ -96,6 +96,15 @@ def test_malformed_length_field():
     assert exc.value.offset == 0
 
 
+def test_large_size_form_is_unsupported():
+    record = networkx.to_graph6_bytes(networkx.path_graph(63), header=False)
+    with pytest.raises(Graph6Error, match="n >= 63.*not supported") as exc:
+        parse_graph6(record.decode())
+    assert exc.value.offset == 0
+    with pytest.raises(Graph6Error, match="malformed length field '>'"):
+        parse_graph6(">")          # byte 62 encodes n = -1
+
+
 def test_character_out_of_range():
     bad = "C" + chr(30) + ""
     with pytest.raises(Graph6Error, match="printable range") as exc:

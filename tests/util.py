@@ -7,13 +7,15 @@ so that agreement tests actually compare two implementations.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import random
 
 import networkx
 import numpy as np
 
-from zeroforcing import Graph, canonical_labelling
+from zeroforcing import Graph, canonical_labelling, forcing
+from zeroforcing.graphs import _mask_vertices
 
 
 @functools.lru_cache(maxsize=None)
@@ -58,6 +60,39 @@ def naive_colex_least(g: Graph):
             if len(naive_closure(g, combo)) == g.n:
                 return k, frozenset(combo)
     raise AssertionError("unreachable: the full set forces")
+
+
+def naive_wavefront(bits, full: int, cap: int):
+    """Reference (Z, bought mask) or None: the wavefront search of
+    `forcing._wavefront` without its pruning or closure memo.  Every state
+    within the cap is stored and expanded, and every child is closed anew
+    (through `forcing._close_mask`, so a test can count the closures)."""
+    closed = [(bits[v], bits[v] | (1 << v)) for v in _mask_vertices(full)]
+    start = forcing._close_mask(bits, 0, full)
+    bought = {start: 0}
+    heap = [(0, start)]
+    while heap:
+        cost, s = heapq.heappop(heap)
+        if s == full:
+            return cost, bought[s]
+        if cost > bought[s].bit_count():
+            continue
+        for nb, nv in closed:
+            gained = nv & ~s
+            if not gained:
+                continue
+            white_nb = gained & nb
+            step = gained ^ (1 << (white_nb.bit_length() - 1)) if white_nb else gained
+            t_cost = cost + step.bit_count()
+            if t_cost > cap:
+                continue
+            t = forcing._close_mask(bits, s | gained, full)
+            if t not in bought or t_cost < bought[t].bit_count():
+                bought[t] = bought[s] | step
+                heapq.heappush(heap, (t_cost, t))
+                if t == full:
+                    cap = t_cost - 1
+    return None
 
 
 def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
