@@ -37,6 +37,13 @@ def _vertex_list(text: str) -> list:
             f"expected comma-separated vertex ids, got {text!r}") from None
 
 
+def _int(token: str, usage: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(usage) from None
+
+
 def _gen_graphs(spec: list, order: int | None) -> list:
     """Resolve a generator mini-spec into Graphs.
 
@@ -52,35 +59,32 @@ def _gen_graphs(spec: list, order: int | None) -> list:
         return [families.heawood_graph() if kind == "heawood"
                 else families.counterexample16()]
     if kind == "necklace":
+        usage = "usage: gen necklace B"
         if len(args) != 1:
-            raise ValueError("usage: gen necklace B")
-        return [families.necklace(int(args[0]))]
+            raise ValueError(usage)
+        return [families.necklace(_int(args[0], usage))]
     if kind == "prism":
+        usage = "usage: gen prism N [sigma=i,j]"
         if not args:
-            raise ValueError("usage: gen prism N [sigma=i,j]")
-        n = int(args[0])
+            raise ValueError(usage)
+        n = _int(args[0], usage)
         sigma = None
         for extra in args[1:]:
-            if extra.startswith("sigma="):
-                pair = extra[len("sigma="):].split(",")
-                if len(pair) != 2:
-                    raise ValueError("usage: gen prism N [sigma=i,j]")
-                sigma = (int(pair[0]), int(pair[1]))
-            else:
-                raise ValueError("usage: gen prism N [sigma=i,j]")
+            pair = extra[len("sigma="):].split(",")
+            if not extra.startswith("sigma=") or len(pair) != 2:
+                raise ValueError(usage)
+            sigma = (_int(pair[0], usage), _int(pair[1], usage))
         return [families.permutation_prism(n, sigma)]
     if kind == "family":
         if order is not None:
             return [g for _, g in families.family_members(order)]
         params = dict(token.split("=", 1) for token in args if "=" in token)
         plain = [token for token in args if "=" not in token]
+        usage = "usage: gen family t=T m=M [n1,..,nT] | gen family --order N"
         if set(params) != {"t", "m"} or len(plain) > 1 or len(args) != 2 + len(plain):
-            raise ValueError("usage: gen family t=T m=M [n1,..,nT] | "
-                             "gen family --order N")
-        t, m = int(params["t"]), int(params["m"])
-        indices = []
-        if plain:
-            indices = [int(x) for x in plain[0].split(",")]
+            raise ValueError(usage)
+        t, m = _int(params["t"], usage), _int(params["m"], usage)
+        indices = [_int(x, usage) for x in plain[0].split(",")] if plain else []
         if len(indices) != t:
             raise ValueError(f"expected {t} ladder indices, got {len(indices)}")
         blocks = tuple([("M", ni) for ni in indices] + [("T", m)])
@@ -107,9 +111,22 @@ def _zf(args, line, g):
     return f"{line}  Z{relation}{z}  witness={witness}", result.exact
 
 
+def _verdict(report) -> str:
+    if report.m is not None:
+        return f"M={report.m}"
+    upper = report.upper if report.upper is not None else "?"
+    return f"M in [{report.lower},{upper}]"
+
+
 def _bounds(args, line, g):
     report = spectral.bounds_report(g, budget=args.budget)
-    return report.to_text(), report.upper is not None
+    exact = report.upper is not None
+    tags = " ".join(f"{name}={value}" for name, value in report.lower_bounds)
+    upper = str(report.upper) if exact else f"unknown (>= {report.upper_floor})"
+    witness = _fmt_set(report.witness) if exact else "-"
+    lines = [f"graph6: {write_graph6(g)}", f"L: {report.lower} [{tags}]",
+             f"U: {upper}", f"witness: {witness}", f"verdict: {_verdict(report)}"]
+    return "\n".join(lines), exact
 
 
 def _recognize(args, line, g):
@@ -126,10 +143,11 @@ def _spantree(args, line, g):
     if args.format == "graph6":
         return write_graph6(result.tree), True
     deleted = ",".join(f"({u},{v})" for u, v in sorted(result.deleted))
-    extra = ""
-    if all(1 <= result.tree.degree(v) <= 3 for v in range(result.tree.n)):
+    try:
         census = degree_census(result)
         extra = f"  n1={census.n1} n2={census.n2} n3={census.n3}"
+    except ValueError:              # a vertex of degree 0 or above 3
+        extra = ""
     return (f"{write_graph6(result.tree)}  root={args.root}  "
             f"deleted=[{deleted}]{extra}"), True
 
@@ -141,7 +159,7 @@ def _census(args, line, g):
     upper = str(report.upper) if report.upper is not None else \
         f">={report.upper_floor}"
     row = [line, str(g.n), "1" if g.is_cubic() else "0", str(kappa), upper,
-           str(sources["eigenvalue"]), str(sources["twin"]), "-", report.verdict]
+           str(sources["eigenvalue"]), str(sources["twin"]), "-", _verdict(report)]
     return "\t".join(row), report.upper is not None
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forcing import zero_forcing_number
-from .graph6 import write_graph6
 from .graphs import Graph
 
 CLUSTER_GAP = 1e-6
@@ -35,9 +34,9 @@ class SpectralReport:
     def max_multiplicity(self) -> int:
         return max(c.multiplicity for c in self.clusters)
 
-    def multiplicity_near(self, value: float, tol: float = CLUSTER_GAP) -> int:
-        """Total multiplicity of eigenvalues within tol of `value`."""
-        return sum(1 for ev in self.eigenvalues if abs(ev - value) <= tol)
+    def multiplicity_near(self, value: float) -> int:
+        """Total multiplicity of eigenvalues within CLUSTER_GAP of `value`."""
+        return sum(1 for ev in self.eigenvalues if abs(ev - value) <= CLUSTER_GAP)
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -141,14 +140,14 @@ def minor_model_violation(g: Graph, model: MinorModel) -> str | None:
     return None
 
 
-def find_clique_minor(g: Graph, k: int, max_vertices: int = 12) -> MinorModel | None:
+def find_clique_minor(g: Graph, k: int) -> MinorModel | None:
     """Bounded exhaustive search for a complete-minor model covering V(g).
 
     Scans the partitions of the vertex set into k nonempty parts; intended
     for single instances, hence the hard size guard.
     """
-    if g.n > max_vertices:
-        raise ValueError(f"bounded search handles at most {max_vertices} vertices")
+    if g.n > 12:
+        raise ValueError("bounded search handles at most 12 vertices")
     if k < 1 or k > g.n:
         return None
 
@@ -191,44 +190,26 @@ class BoundsReport:
     solver budget).
     """
 
-    graph6: str
     lower_bounds: tuple   # (source, value) pairs
-    lower: int
     upper: int | None
     upper_floor: int      # proven lower bound on the forcing number
     witness: frozenset | None
-    m: int | None
 
     @property
-    def verdict(self) -> str:
-        if self.m is not None:
-            return f"M={self.m}"
-        upper = self.upper if self.upper is not None else "?"
-        return f"M in [{self.lower},{upper}]"
+    def lower(self) -> int:
+        return max(value for _, value in self.lower_bounds)
 
-    def to_text(self) -> str:
-        tags = " ".join(f"{name}={value}" for name, value in self.lower_bounds)
-        upper = str(self.upper) if self.upper is not None else \
-            f"unknown (>= {self.upper_floor})"
-        lines = [f"graph6: {self.graph6}",
-                 f"L: {self.lower} [{tags}]",
-                 f"U: {upper}"]
-        if self.witness is not None:
-            lines.append("witness: {" + ",".join(map(str, sorted(self.witness))) + "}")
-        else:
-            lines.append("witness: -")
-        lines.append(f"verdict: {self.verdict}")
-        return "\n".join(lines)
+    @property
+    def m(self) -> int | None:
+        return self.lower if self.upper == self.lower else None
 
 
 def bounds_report(g: Graph, models=(), budget: int | None = None) -> BoundsReport:
     """Best maximum-nullity sandwich for a connected graph.
 
     `models` are complete-minor models; each must verify, and a verified
-    model of target k contributes the lower bound k - 1.  The graph6 record
-    is encoded first, so a graph beyond the codec fails before any solving.
+    model of target k contributes the lower bound k - 1.
     """
-    graph6 = write_graph6(g)
     if not g.is_connected():
         raise ValueError("bounds are reported for connected graphs")
     eig = max_multiplicity_bound(g)
@@ -239,16 +220,10 @@ def bounds_report(g: Graph, models=(), budget: int | None = None) -> BoundsRepor
         if problem:
             raise ValueError(f"invalid minor model: {problem}")
         sources.append(("minor", model.target - 1))
-    lower = max(value for _, value in sources)
     result = zero_forcing_number(g, budget=budget)
-    if result.exact and lower > result.z:
-        raise AssertionError(f"lower bound {lower} exceeds zero forcing "
+    report = BoundsReport(lower_bounds=tuple(sources), upper=result.z,
+                          upper_floor=result.lower_bound, witness=result.witness)
+    if result.exact and report.lower > result.z:
+        raise AssertionError(f"lower bound {report.lower} exceeds zero forcing "
                              f"number {result.z}; one of them is wrong")
-    upper = result.z
-    return BoundsReport(graph6=graph6,
-                        lower_bounds=tuple(sources),
-                        lower=lower,
-                        upper=upper,
-                        upper_floor=result.lower_bound,
-                        witness=result.witness,
-                        m=lower if upper == lower else None)
+    return report

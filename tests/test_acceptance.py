@@ -125,7 +125,7 @@ def test_criterion_6_necklace():
         result = zero_forcing_number(g)
         assert result.z == 8 == g.n // 3 + 2
         spectrum = eigen_decomposition(adjacency_matrix(g))
-        assert spectrum.multiplicity_near(0.0, tol=1e-6) >= 8
+        assert spectrum.multiplicity_near(0.0) >= 8
         assert twin_bound(g) == 6
         assert bounds_report(g).m == 8
 

@@ -122,9 +122,14 @@ def test_gen_prism_sigma_needs_two_indices():
 @pytest.mark.parametrize("spec", [["heawood", "extra"], ["cex16", "junk"],
                                   ["family", "t=1", "m=0", "0", "junk"],
                                   ["family", "t=2", "t=1", "m=0", "0"],
-                                  ["necklace", "3", "4"], ["prism", "6", "junk"]],
+                                  ["necklace", "3", "4"], ["prism", "6", "junk"],
+                                  ["necklace", "x"], ["prism", "x"],
+                                  ["prism", "6", "sigma=a,b"],
+                                  ["family", "t=x", "m=0"],
+                                  ["family", "t=1", "m=0", "y"]],
                          ids=["heawood", "cex16", "family", "family-repeated-key",
-                              "necklace", "prism"])
+                              "necklace", "prism", "necklace-x", "prism-x",
+                              "prism-sigma-ab", "family-t-x", "family-index-y"])
 def test_gen_trailing_tokens_are_a_generator_error(spec):
     code, out, err = run_cli(["gen", *spec])
     assert code == 1
@@ -173,6 +178,22 @@ def test_census_columns():
     row = out.strip().split("\t")
     # graph6, n, cubic, kappa, Z, L_eig, L_twin, L_minor, verdict
     assert row == ["C~", "4", "1", "3", "3", "3", "0", "-", "M=3"]
+
+
+def test_bounds_record_bytes():
+    # a `>>graph6<<` header is not echoed: the record names the graph it parsed
+    stdin = "C~\n>>graph6<<C~\nIhdCHCPBG\nM???BOsEcWGog_s??\n"
+    block = ("graph6: C~\nL: 3 [eigenvalue=3 twin=0]\nU: 3\n"
+             "witness: {0,1,2}\nverdict: M=3\n")
+    code, out, err = run_cli(["bounds", "--budget", "4"], stdin=stdin)
+    assert (code, err) == (1, "")   # Heawood (Z=6) exhausts the budget
+    assert out == (block + "\n" + block + "\n"
+                   "graph6: IhdCHCPBG\nL: 1 [eigenvalue=1 twin=0]\nU: 4\n"
+                   "witness: {0,1,2,4}\nverdict: M in [1,4]\n\n"
+                   "graph6: M???BOsEcWGog_s??\nL: 6 [eigenvalue=6 twin=0]\n"
+                   "U: unknown (>= 5)\nwitness: -\nverdict: M in [6,?]\n")
+    assert run_cli(["gen", "prism", "5", "sigma=1,2"])[1] == "IhdCHCPBG\n"
+    assert run_cli(["gen", "heawood"])[1] == "M???BOsEcWGog_s??\n"
 
 
 def test_budget_exhaustion_exit_code(tmp_path):

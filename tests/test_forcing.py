@@ -242,11 +242,19 @@ def oracle_cases(source):
 class TestWavefront:
     @pytest.mark.parametrize("source", ["cubic", "family", "necklace", "atlas"])
     def test_matches_unpruned_oracle_at_every_cap(self, source):
+        # The oracle finds nothing below Z and its cap-n answer at every cap from
+        # Z up.  The necklaces, the slowest to search, take that rule as given;
+        # the other sources run the oracle at every cap and check it.
         for label, g in oracle_cases(source):
             full = (1 << g.n) - 1
+            answer = naive_wavefront(g.bits, full, g.n)
             for cap in range(1, g.n + 1):
+                expected = answer if cap >= answer[0] else None
+                if source != "necklace":
+                    assert (naive_wavefront(g.bits, full, cap)
+                            == expected), f"{label}, oracle at cap {cap}"
                 assert (forcing._wavefront(g.bits, full, cap)
-                        == naive_wavefront(g.bits, full, cap)), f"{label}, cap {cap}"
+                        == expected), f"{label}, cap {cap}"
 
     def test_closes_each_set_once(self, monkeypatch):
         closed = []
