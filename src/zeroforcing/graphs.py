@@ -4,8 +4,9 @@ Vertices are dense integers 0..n-1.  Adjacency is the edge set, which gives a
 graph its value identity, plus one integer bitmask of neighbours per vertex,
 which every algorithm reads; the masks are Python integers, so they set no
 limit on the vertex count.  One breadth-first search over the masks,
-`_layers`, serves components, distance profiles, spanning-tree layers and the
-augmenting paths of edge connectivity.
+`_layers`, serves the single-source searches: components, spanning-tree
+layers and the augmenting paths of edge connectivity.  Distance profiles
+need every source at once, so they grow all balls together over the edges.
 Edge connectivity runs those flows only between the vertices of a dominating
 set (Matula's rule), which meets both sides of any cut below the minimum
 degree and every component of a disconnected graph.
@@ -212,24 +213,45 @@ def edge_connectivity(g: Graph) -> int:
 
 def _refine(nbrs, colors):
     """Iterated neighborhood refinement with canonical color ids; nbrs[v]
-    lists v's neighbours."""
+    lists v's neighbours, and colors holds the dense ids 0..k-1.  A key
+    leads with its vertex's color, so the ids stay dense and ordered, and
+    the coloring is stable once no class splits into two keys."""
+    classes = max(colors) + 1
     while True:
-        keys = [(c, tuple(sorted(colors[u] for u in vs)))
+        keys = [(c, *sorted(map(colors.__getitem__, vs)))
                 for c, vs in zip(colors, nbrs)]
-        remap = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [remap[k] for k in keys]
-        if new == colors:
+        distinct = sorted(set(keys))
+        if len(distinct) == classes:
             return colors
-        colors = new
+        remap = {k: i for i, k in enumerate(distinct)}
+        colors = [remap[k] for k in keys]
+        classes = len(distinct)
 
 
 def distance_profiles(g: Graph) -> list:
     """Each vertex's distance profile: how many vertices lie at distance
     1, 2, ... from it.  An isomorphism preserves distances, so it maps each
     vertex to one with the same profile, and the sorted profiles are an
-    isomorphism invariant."""
-    return [tuple(map(int.bit_count, _layers(g.bits, 1 << v)))[1:]
-            for v in range(g.n)]
+    isomorphism invariant.
+
+    All balls grow together, one radius per round over the edge list: the
+    ball of radius r + 1 around v is the union of the radius-r balls of v
+    and its neighbours, and v's profile gains the count of new vertices
+    while its ball grows.  The rounds stop when no ball grows.
+    """
+    balls = [1 << v for v in range(g.n)]
+    profiles = [[] for _ in range(g.n)]
+    while True:
+        grown = balls[:]
+        for u, v in g.edges:
+            grown[u] |= balls[v]
+            grown[v] |= balls[u]
+        if grown == balls:
+            return list(map(tuple, profiles))
+        for profile, ball, new in zip(profiles, balls, grown):
+            if new != ball:
+                profile.append(new.bit_count() - ball.bit_count())
+        balls = grown
 
 
 def _find(parent, x):

@@ -11,13 +11,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import load_catalog
-from util import (brute_force_isomorphic, canonical_mapping, mapping_is_valid,
-                  permuted_copy, random_connected_graph, random_graph)
+from util import (atlas_graphs, brute_force_isomorphic, canonical_mapping,
+                  mapping_is_valid, naive_refine, neighbor_sets, permuted_copy,
+                  random_connected_graph, random_graph)
 from zeroforcing import (Graph, canonical_certificate, canonical_labelling,
                          complete_bipartite, complete_graph, cycle_graph,
                          edge_connectivity, heawood_graph, necklace,
                          parse_graph6, path_graph, permutation_prism)
-from zeroforcing.graphs import _max_flow_unit, distance_profiles
+from zeroforcing.families import assemblies, block_sequences
+from zeroforcing.graphs import _max_flow_unit, _refine, distance_profiles
 
 
 def to_networkx(g: Graph) -> networkx.Graph:
@@ -292,6 +294,79 @@ class TestIsomorphism:
         g = complete_bipartite(2, 3)
         h = permuted_copy(random.Random(4), g)
         assert canonical_mapping(g, h) == canonical_mapping(g, h)
+
+
+class TestDistanceProfiles:
+    """`distance_profiles` against networkx's single-source distances."""
+
+    @staticmethod
+    def oracle(g):
+        host = to_networkx(g)
+        out = []
+        for v in range(g.n):
+            counts = [0] * g.n
+            for d in networkx.single_source_shortest_path_length(host, v).values():
+                counts[d] += 1
+            out.append(tuple(itertools.takewhile(bool, counts[1:])))
+        return out
+
+    def test_atlas_graphs(self):
+        # every graph on 0-7 vertices, the disconnected ones included
+        inputs = [g for n in range(8) for g in atlas_graphs(n)]
+        assert len(inputs) == 1253
+        assert sum(not g.is_connected() for g in inputs) > 200
+        for g in inputs:
+            assert distance_profiles(g) == self.oracle(g)
+
+    def test_edgeless(self):
+        assert distance_profiles(Graph(0)) == []
+        assert distance_profiles(Graph(5)) == [()] * 5
+
+    def test_cubic_fixtures(self):
+        for order in range(4, 15, 2):
+            for g in load_catalog(order):
+                assert distance_profiles(g) == self.oracle(g)
+
+    def test_order_eighteen_assemblies(self):
+        inputs = [g for _, g in assemblies(block_sequences(18))]
+        assert len(inputs) == 1261
+        for g in inputs:
+            assert distance_profiles(g) == self.oracle(g)
+
+    def test_beyond_sixty_three_vertices(self):
+        # the balls are Python integers, so they hold 64 or 80 vertex bits
+        for g in (cycle_graph(64), permutation_prism(40)):
+            assert distance_profiles(g) == self.oracle(g)
+        assert distance_profiles(cycle_graph(64))[0] == (2,) * 31 + (1,)
+
+
+class TestRefine:
+    """`_refine`'s early stop gives the colours of the loop that runs until
+    a round changes nothing (`naive_refine`)."""
+
+    @staticmethod
+    def colorings(g, nbrs):
+        # the root coloring (ranked distance profiles) and each child of the
+        # first non-singleton class below it, colored as `canonical_labelling` does
+        profiles = distance_profiles(g)
+        rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
+        root = [rank[p] for p in profiles]
+        yield root
+        stable = naive_refine(nbrs, root)
+        split = sorted(c for c in set(stable) if stable.count(c) > 1)
+        for v in range(g.n):
+            if split and stable[v] == split[0]:
+                child = [c + 1 if c >= stable[v] else c for c in stable]
+                child[v] = stable[v]
+                yield child
+
+    def test_matches_naive_loop(self):
+        inputs = [g for n in range(1, 8) for g in atlas_graphs(n)]
+        inputs += [g for order in range(4, 15, 2) for g in load_catalog(order)]
+        for g in inputs:
+            nbrs = [tuple(sorted(vs)) for vs in neighbor_sets(g)]
+            for colors in self.colorings(g, nbrs):
+                assert _refine(nbrs, colors) == naive_refine(nbrs, colors)
 
 
 class TestCanonicalCertificate:

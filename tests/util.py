@@ -95,6 +95,19 @@ def naive_wavefront(bits, full: int, cap: int):
     return None
 
 
+def naive_refine(nbrs, colors):
+    """Reference neighbourhood refinement: recolor every vertex by (color,
+    sorted neighbour colors), ranked, until a round changes no color."""
+    while True:
+        keys = [(c, tuple(sorted(colors[u] for u in vs)))
+                for c, vs in zip(colors, nbrs)]
+        remap = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new = [remap[k] for k in keys]
+        if new == colors:
+            return colors
+        colors = new
+
+
 def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
     """Permutation-check isomorphism; only sensible for n <= 7."""
     if g.n != h.n or len(g.edges) != len(h.edges):
