@@ -15,7 +15,7 @@ from .recognition import RecognitionResult, recognize_z3
 from .spanning import DegreeCensus, SpanningTree, degree_census, spanning_tree
 from .spectral import (BoundsReport, EigenCluster, MinorModel, SpectralReport,
                        adjacency_matrix, bounds_report, eigen_decomposition,
-                       find_clique_minor, max_multiplicity_bound,
-                       minor_model_violation, twin_bound, twin_classes)
+                       max_multiplicity_bound, minor_model_violation,
+                       twin_bound, twin_classes)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -65,13 +65,13 @@ def _gen_graphs(spec: list, order: int | None) -> list:
         return [families.necklace(_int(args[0], usage))]
     if kind == "prism":
         usage = "usage: gen prism N [sigma=i,j]"
-        if not args:
+        if len(args) not in (1, 2):
             raise ValueError(usage)
         n = _int(args[0], usage)
         sigma = None
-        for extra in args[1:]:
-            pair = extra[len("sigma="):].split(",")
-            if not extra.startswith("sigma=") or len(pair) != 2:
+        if len(args) == 2:
+            pair = args[1][len("sigma="):].split(",")
+            if not args[1].startswith("sigma=") or len(pair) != 2:
                 raise ValueError(usage)
             sigma = (_int(pair[0], usage), _int(pair[1], usage))
         return [families.permutation_prism(n, sigma)]

@@ -91,22 +91,6 @@ def is_zero_forcing_set(g: Graph, vertices) -> bool:
     return _close_mask(g.bits, _vertex_mask(g, vertices), full) == full
 
 
-def _solve_component(g: Graph, comp, cap: int):
-    """Exact Z on one component; returns (z, witness set) or (None, lower bound).
-    A component is closed under adjacency, so the search runs on g's own
-    bitmasks with the component as the full set."""
-    full = _vertex_mask(g, comp)
-    found = _wavefront(g.bits, full, cap)
-    if found is None:
-        if cap >= len(comp):
-            raise AssertionError("the full vertex set always forces")
-        return None, min(cap + 1, len(comp))
-    z, bought = found
-    if bought.bit_count() != z or _close_mask(g.bits, bought, full) != full:
-        raise AssertionError(f"the wavefront's witness of size Z={z} does not force")
-    return z, frozenset(_mask_vertices(bought))
-
-
 def _wavefront(bits, full: int, cap: int):
     """(Z, bought mask) for the least cost path of steps from close(empty) to
     the full set, or None if its cost exceeds cap.  A step at v buys v, if
@@ -167,22 +151,26 @@ def zero_forcing_number(g: Graph, budget: int | None = None) -> ZeroForcingResul
     """
     if g.n == 0:
         raise ValueError("zero forcing number of the empty graph is undefined")
-    comps = g.components()
-    floor = {c: max(1, min(g.degree(v) for v in c)) for c in comps}
-    total = 0
-    witness: set = set()
-    remaining = sum(floor.values())
-    for comp in comps:
-        remaining -= floor[comp]
-        if budget is None:
-            cap = len(comp)
-        else:
-            cap = budget - total - remaining
-            if cap < floor[comp]:
-                return ZeroForcingResult(None, None, total + floor[comp] + remaining)
-        z, wit = _solve_component(g, comp, cap)
-        if z is None:
-            return ZeroForcingResult(None, None, total + wit + remaining)
+    # (component mask, least possible Z of the component)
+    comps = [(_vertex_mask(g, c), max(1, min(map(g.degree, c))))
+             for c in g.components()]
+    total = witness = 0
+    remaining = sum(floor for _, floor in comps)
+    for full, floor in comps:
+        remaining -= floor
+        size = full.bit_count()
+        cap = size if budget is None else budget - total - remaining
+        found = _wavefront(g.bits, full, cap) if cap >= floor else None
+        if found is None:
+            if cap >= size:
+                raise AssertionError("the full vertex set always forces")
+            # this component's Z exceeds cap and is at least floor
+            return ZeroForcingResult(None, None,
+                                     total + max(cap + 1, floor) + remaining)
+        z, bought = found
+        if bought.bit_count() != z or _close_mask(g.bits, bought, full) != full:
+            raise AssertionError(f"the wavefront's witness of size Z={z} "
+                                 "does not force")
         total += z
-        witness |= wit
-    return ZeroForcingResult(total, frozenset(witness), total)
+        witness |= bought
+    return ZeroForcingResult(total, frozenset(_mask_vertices(witness)), total)

@@ -1,8 +1,8 @@
 """Dense symmetric eigensolver plus every nullity lower bound the library knows.
 
 Spectra come from LAPACK's symmetric eigensolver (`numpy.linalg.eigh`); every
-decomposition reports its reconstruction and orthogonality residuals, so a
-bad one is visible rather than trusted.
+decomposition reports its reconstruction and orthogonality residuals, and the
+multiplicity bound refuses one whose residuals exceed 1e-8.
 """
 
 from __future__ import annotations
@@ -46,18 +46,19 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def eigen_decomposition(matrix: np.ndarray,
-                        cluster_gap: float = CLUSTER_GAP) -> SpectralReport:
+def eigen_decomposition(matrix: np.ndarray) -> SpectralReport:
     """Full spectrum of a real symmetric matrix, ascending, by `numpy.linalg.eigh`.
 
-    `eigh` reads one triangle only, so the input is checked for symmetry
-    first.  Eigenvalues within `cluster_gap` of each other (single linkage)
-    are reported as one cluster.
+    `eigh` reads one triangle only, so the input is checked for finite
+    entries and symmetry first.  Eigenvalues within CLUSTER_GAP of each
+    other (single linkage) are reported as one cluster.
     """
     a0 = np.asarray(matrix, dtype=float)
     if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a0.shape}")
     n = a0.shape[0]
+    if not np.isfinite(a0).all():
+        raise ValueError("matrix has a non-finite entry")
     if n and float(np.abs(a0 - a0.T).max()) > 1e-12:
         raise ValueError("matrix is not symmetric")
     values, q = np.linalg.eigh(a0)
@@ -68,7 +69,7 @@ def eigen_decomposition(matrix: np.ndarray,
     clusters = []
     start = 0
     for i in range(1, n + 1):
-        if i == n or eigenvalues[i] - eigenvalues[i - 1] > cluster_gap:
+        if i == n or eigenvalues[i] - eigenvalues[i - 1] > CLUSTER_GAP:
             group = eigenvalues[start:i]
             clusters.append(EigenCluster(math.fsum(group) / len(group), len(group)))
             start = i
@@ -83,11 +84,17 @@ def max_multiplicity_bound(g: Graph) -> int:
 
     Shifting the adjacency matrix by any eigenvalue stays inside the matrix
     family of the graph and has that multiplicity as its nullity, so this is
-    a lower bound on the maximum nullity.
+    a lower bound on the maximum nullity.  A decomposition whose residual or
+    orthogonality error exceeds 1e-8 raises RuntimeError.
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    return eigen_decomposition(adjacency_matrix(g)).max_multiplicity()
+    report = eigen_decomposition(adjacency_matrix(g))
+    if max(report.residual, report.orthogonality) > 1e-8:
+        raise RuntimeError("eigh decomposition failed its check: residual "
+                           f"{report.residual:.3g}, orthogonality "
+                           f"{report.orthogonality:.3g}")
+    return report.max_multiplicity()
 
 
 def twin_classes(g: Graph) -> tuple:
@@ -138,47 +145,6 @@ def minor_model_violation(g: Graph, model: MinorModel) -> str | None:
             if not any(g.has_edge(u, v) for u in sets[i] for v in sets[j]):
                 return f"no edge joins branch sets {i} and {j}"
     return None
-
-
-def find_clique_minor(g: Graph, k: int) -> MinorModel | None:
-    """Bounded exhaustive search for a complete-minor model covering V(g).
-
-    Scans the partitions of the vertex set into k nonempty parts; intended
-    for single instances, hence the hard size guard.
-    """
-    if g.n > 12:
-        raise ValueError("bounded search handles at most 12 vertices")
-    if k < 1 or k > g.n:
-        return None
-
-    parts: list = [[0]]
-
-    def rec(v):
-        if v == g.n:
-            if len(parts) != k:
-                return None
-            sets = [frozenset(p) for p in parts]
-            model = MinorModel(branch_sets=tuple(sets), target=k)
-            if minor_model_violation(g, model) is None:
-                return model
-            return None
-        if len(parts) + (g.n - v) < k:
-            return None
-        for p in parts:
-            p.append(v)
-            found = rec(v + 1)
-            if found:
-                return found
-            p.pop()
-        if len(parts) < k:
-            parts.append([v])
-            found = rec(v + 1)
-            if found:
-                return found
-            parts.pop()
-        return None
-
-    return rec(1)
 
 
 @dataclass(frozen=True)

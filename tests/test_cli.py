@@ -125,11 +125,13 @@ def test_gen_prism_sigma_needs_two_indices():
                                   ["necklace", "3", "4"], ["prism", "6", "junk"],
                                   ["necklace", "x"], ["prism", "x"],
                                   ["prism", "6", "sigma=a,b"],
+                                  ["prism", "5", "sigma=1,2", "sigma=2,3"],
                                   ["family", "t=x", "m=0"],
                                   ["family", "t=1", "m=0", "y"]],
                          ids=["heawood", "cex16", "family", "family-repeated-key",
                               "necklace", "prism", "necklace-x", "prism-x",
-                              "prism-sigma-ab", "family-t-x", "family-index-y"])
+                              "prism-sigma-ab", "prism-sigma-twice", "family-t-x",
+                              "family-index-y"])
 def test_gen_trailing_tokens_are_a_generator_error(spec):
     code, out, err = run_cli(["gen", *spec])
     assert code == 1

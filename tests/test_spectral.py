@@ -14,10 +14,16 @@ from util import (atlas_graphs, naive_eigen_clusters, random_connected_graph,
 from zeroforcing import spectral
 from zeroforcing import (Graph, MinorModel, adjacency_matrix, bounds_report,
                          complete_bipartite, complete_graph, cycle_graph,
-                         eigen_decomposition, find_clique_minor, heawood_graph,
+                         eigen_decomposition, heawood_graph,
                          max_multiplicity_bound, minor_model_violation,
                          necklace, path_graph, permutation_prism, twin_bound,
                          twin_classes, zero_forcing_number)
+from zeroforcing.cli import main
+
+# a K5-minor model of permutation_prism(5, (1, 2)), checked by
+# minor_model_violation in TestMinorModels
+SWAPPED_PRISM_K5 = MinorModel(branch_sets=({0, 4}, {1, 2}, {3, 8}, {5, 9},
+                                           {6, 7}), target=5)
 
 
 def petersen() -> Graph:
@@ -72,6 +78,15 @@ class TestEigenDecomposition:
         with pytest.raises(ValueError, match="square"):
             eigen_decomposition(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN compares false, so only an explicit check keeps it out of eigh;
+        # a symmetric pair of infinities would also pass a symmetry check
+        with pytest.raises(ValueError, match="non-finite"):
+            eigen_decomposition(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            eigen_decomposition(np.array([[0.0, bad], [bad, 1.0]]))
+
     def test_shift_identity(self):
         # multiplicity of an eigenvalue equals the nullity of the shifted matrix
         rng = random.Random(31)
@@ -89,30 +104,31 @@ class TestEigenDecomposition:
             a = adjacency_matrix(g)
             reference = [c.multiplicity for c in eigen_decomposition(a).clusters]
             for gap in (1e-9, 1e-8, 1e-7, 1e-6):
-                report = eigen_decomposition(a, cluster_gap=gap)
-                assert [c.multiplicity for c in report.clusters] == reference
+                _, clusters = naive_eigen_clusters(a, gap)
+                assert [k for _, k in clusters] == reference
 
     def test_clusters_match_numpy_reference(self):
-        # random symmetric matrices, some with planted repeated eigenvalues
-        # and clustered at a wide gap; n = 0 and n = 1; K10, whose -1 has
-        # multiplicity 9; Petersen, Heawood and the cubic12 fixtures
+        # random symmetric matrices, some with planted repeated eigenvalues;
+        # n = 0 and n = 1; K10, whose -1 has multiplicity 9; Petersen,
+        # Heawood and the cubic12 fixtures
         rng = np.random.default_rng(32)
-        cases = [(np.zeros((0, 0)), spectral.CLUSTER_GAP),
-                 (np.array([[2.5]]), spectral.CLUSTER_GAP)]
+        cases = [np.zeros((0, 0)), np.array([[2.5]])]
         for _ in range(40):
             n = int(rng.integers(1, 25))
             m = rng.normal(size=(n, n))
-            cases.append(((m + m.T) / 2, rng.choice([1e-6, 0.1, 0.5])))
+            cases.append((m + m.T) / 2)
             q = np.linalg.qr(rng.normal(size=(n, n)))[0]
             w = rng.choice(rng.normal(size=3), size=n)
-            cases.append((q @ np.diag(w) @ q.T, 1e-6))
+            cases.append(q @ np.diag(w) @ q.T)
+            if n > 3:   # n eigenvalues drawn from three values repeat
+                assert eigen_decomposition(cases[-1]).max_multiplicity() > 1
         for g in [complete_graph(10), petersen(), heawood_graph(),
                   *load_catalog(12)]:
-            cases.append((adjacency_matrix(g), spectral.CLUSTER_GAP))
+            cases.append(adjacency_matrix(g))
         largest = 0
-        for matrix, gap in cases:
-            report = eigen_decomposition(matrix, cluster_gap=gap)
-            values, clusters = naive_eigen_clusters(matrix, gap)
+        for matrix in cases:
+            report = eigen_decomposition(matrix)
+            values, clusters = naive_eigen_clusters(matrix, spectral.CLUSTER_GAP)
             assert report.eigenvalues == values
             assert [c.multiplicity for c in report.clusters] == \
                 [k for _, k in clusters]
@@ -147,6 +163,28 @@ class TestMultiplicityBound:
 
     def test_petersen(self):
         assert max_multiplicity_bound(petersen()) == 5
+
+    def test_unchecked_decomposition_is_refused(self, monkeypatch, tmp_path,
+                                                capsys):
+        # an eigenvector basis off by 1e-6 fails the residual and orthogonality
+        # checks: the bound raises, and the CLI skips the record
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            values, q = eigh(a)
+            return values, q + 1e-6
+
+        monkeypatch.setattr(spectral.np.linalg, "eigh", perturbed)
+        report = eigen_decomposition(adjacency_matrix(petersen()))
+        assert report.residual > 1e-8 and report.orthogonality > 1e-8
+        with pytest.raises(RuntimeError, match="residual"):
+            max_multiplicity_bound(petersen())
+        path = tmp_path / "k4.g6"
+        path.write_text("C~\n")
+        assert main(["bounds", "--in", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("line 1: eigh decomposition failed its check")
 
 
 class TestTwins:
@@ -216,26 +254,9 @@ class TestMinorModels:
         model = MinorModel((frozenset({0}), frozenset({3})), 2)
         assert "no edge joins" in minor_model_violation(g, model)
 
-    def test_search_finds_k5_in_swapped_prism(self):
-        g = permutation_prism(5, (1, 2))
-        model = find_clique_minor(g, 5)
-        assert model is not None
-        assert minor_model_violation(g, model) is None
-
     def test_search_respects_frozen_model(self):
-        # the model the bounded search found once, kept as a fixture
         g = permutation_prism(5, (1, 2))
-        frozen = MinorModel(branch_sets=(frozenset({0, 4}), frozenset({1, 2}),
-                                         frozenset({3, 8}), frozenset({5, 9}),
-                                         frozenset({6, 7})), target=5)
-        assert minor_model_violation(g, frozen) is None
-
-    def test_search_negative(self):
-        assert find_clique_minor(path_graph(5), 3) is None
-
-    def test_search_size_guard(self):
-        with pytest.raises(ValueError, match="at most"):
-            find_clique_minor(heawood_graph(), 5)
+        assert minor_model_violation(g, SWAPPED_PRISM_K5) is None
 
 
 class TestBoundsReport:
@@ -250,8 +271,7 @@ class TestBoundsReport:
 
     def test_swapped_prism_with_model(self):
         g = permutation_prism(5, (1, 2))
-        model = find_clique_minor(g, 5)
-        report = bounds_report(g, models=[model])
+        report = bounds_report(g, models=[SWAPPED_PRISM_K5])
         assert dict(report.lower_bounds)["minor"] == 4
         assert (report.lower, report.upper, report.m) == (4, 4, 4)
 
