@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import Graph, canonical_certificate
+from .spectral import twin_classes
 
 
 def _ladder_edges(rungs: int) -> list:
@@ -224,10 +225,7 @@ def necklace(beads: int) -> Graph:
                   (p3, exit_), (p4, exit_),
                   (exit_, (o + 6) % n)]
     g = Graph(n, edges)
-    by_nbrs = {}
-    for v in range(n):
-        by_nbrs.setdefault(g.bits[v], []).append(v)
-    pairs = sum(1 for vs in by_nbrs.values() if len(vs) == 2)
+    pairs = sum(1 for c in twin_classes(g) if len(c) == 2)
     if pairs != 2 * beads:
         raise AssertionError(f"expected {2 * beads} twin pairs, found {pairs}")
     return g

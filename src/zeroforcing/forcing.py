@@ -2,7 +2,7 @@
 
 Black sets are manipulated as integer bitmasks.  The solver runs one search
 per connected component: Dijkstra over closed sets (the wavefront algorithm;
-Brimkov, Fast and Hicks, arXiv:1704.02065).  From close(empty), a step at v
+Brimkov, Fast and Hicks, arXiv:1704.02065).  From the empty set, a step at v
 buys v, if white, and every white neighbor of v but the highest, and takes
 the closure; v then forces that last neighbor.  The cheapest path to the full
 set costs Z, and what it bought is the witness.
@@ -92,7 +92,7 @@ def is_zero_forcing_set(g: Graph, vertices) -> bool:
 
 
 def _wavefront(bits, full: int, cap: int):
-    """(Z, bought mask) for the least cost path of steps from close(empty) to
+    """(Z, bought mask) for the least cost path of steps from the empty set to
     the full set, or None if its cost exceeds cap.  A step at v buys v, if
     white, and all but the highest of its white neighbors, after which v
     forces that one; the cost is what was bought.  Steps are taken at the
@@ -103,12 +103,12 @@ def _wavefront(bits, full: int, cap: int):
     A closure depends only on its input set, so closures are memoized by
     that set for the length of this call."""
     closed = [(bits[v], bits[v] | (1 << v)) for v in _mask_vertices(full)]  # N(v), N[v]
-    start = _close_mask(bits, 0, full)
     # state -> what the cheapest path found to it bought; the steps buy
-    # disjoint sets, so the path's cost is the size of that set
-    bought = {start: 0}
+    # disjoint sets, so the path's cost is the size of that set.  Nothing
+    # forces while no vertex is black, so the search starts at the empty set.
+    bought = {0: 0}
     closures = {}  # s | gained -> its closure, for this search only
-    heap = [(0, start)]
+    heap = [(0, 0)]
     while heap:
         cost, s = heapq.heappop(heap)
         if s == full:

@@ -5,8 +5,9 @@ graph its value identity, plus one integer bitmask of neighbours per vertex,
 which every algorithm reads; the masks are Python integers, so they set no
 limit on the vertex count.  One breadth-first search over the masks,
 `_layers`, serves the single-source searches: components, spanning-tree
-layers and the augmenting paths of edge connectivity.  Distance profiles
-need every source at once, so they grow all balls together over the edges.
+layers, the branch sets of a minor model and the augmenting paths of edge
+connectivity.  Distance profiles need every source at once, so they grow all
+balls together over the edges.
 Edge connectivity runs those flows only between the vertices of a dominating
 set (Matula's rule), which meets both sides of any cut below the minimum
 degree and every component of a disconnected graph.
@@ -60,9 +61,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.bits[v].bit_count()
 
-    def degree_sequence(self) -> tuple:
-        return tuple(sorted(map(int.bit_count, self.bits)))
-
     def min_degree(self) -> int:
         return min(map(int.bit_count, self.bits), default=0)
 
@@ -84,18 +82,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return self.n > 0 and len(self.components()) == 1
-
-    def induced(self, vertices) -> "Graph":
-        """Induced subgraph relabeled to 0..k-1 in ascending vertex order."""
-        vs = sorted(vertices)
-        if vs and not 0 <= vs[0] <= vs[-1] < self.n:
-            raise ValueError(f"vertex out of range for n={self.n}: {vs}")
-        if len(set(vs)) != len(vs):
-            raise ValueError(f"repeated vertex in {vs}")
-        index = {v: i for i, v in enumerate(vs)}
-        edges = [(index[u], index[v]) for u, v in self.edges
-                 if u in index and v in index]
-        return Graph(len(vs), edges)
 
 
 def _mask_vertices(mask: int):

@@ -1,9 +1,9 @@
 """Layered spanning-tree construction and the tree degree census.
 
-The tree is grown from a root in breadth-first layers; every edge inside a
-layer is deleted, and a vertex with several neighbors in the previous layer
-keeps only the edge from the neighbor that is maximal under (degree in the
-original graph, then vertex id).
+The tree is grown from a root in breadth-first layers.  Each vertex outside
+the root keeps one edge: the edge from its neighbor in the previous layer that
+is maximal under (degree in the original graph, then vertex id).  Every other
+edge, each edge inside a layer included, is deleted.
 
 What the tree is for: on a connected cubic graph G its leaves are a zero
 forcing set of G, so Z(G) <= n1 = n3 + 2 (the tree has maximum degree 3,
@@ -45,23 +45,16 @@ def spanning_tree(g: Graph, root: int) -> SpanningTree:
         raise ValueError("spanning tree needs a connected graph")
 
     masks = list(_layers(g.bits, 1 << root))
-    deleted = set()
-    previous = 0
-    for layer in masks:
-        for x in _mask_vertices(layer):
-            parents = list(_mask_vertices(g.bits[x] & previous))
-            keep = max(parents, key=lambda u: (g.degree(u), u), default=None)
-            dropped = [u for u in parents if u != keep]
-            dropped += _mask_vertices(g.bits[x] & layer)    # edges inside the layer
-            deleted.update((u, x) if u < x else (x, u) for u in dropped)
-        previous = layer
-
-    tree = Graph(g.n, g.edges - deleted)
+    kept = [(max(_mask_vertices(g.bits[x] & previous),
+                 key=lambda u: (g.degree(u), u)), x)
+            for previous, layer in zip(masks, masks[1:])
+            for x in _mask_vertices(layer)]
+    tree = Graph(g.n, kept)
     if len(tree.edges) != g.n - 1:
         raise AssertionError("layer rules did not leave a spanning tree")
     return SpanningTree(tree=tree, root=root,
                         layers=tuple(frozenset(_mask_vertices(m)) for m in masks),
-                        deleted=frozenset(deleted))
+                        deleted=g.edges - tree.edges)
 
 
 def degree_census(t: SpanningTree) -> DegreeCensus:
@@ -75,9 +68,6 @@ def degree_census(t: SpanningTree) -> DegreeCensus:
                              f"found degree {d}")
         counts[d] += 1
     census = DegreeCensus(counts[1], counts[2], counts[3])
-    n = tree.n
-    if census.n1 + census.n2 + census.n3 != n:
-        raise AssertionError("degree counts must cover every vertex")
-    if census.n1 + 2 * census.n2 + 3 * census.n3 != 2 * n - 2:
+    if census.n1 + 2 * census.n2 + 3 * census.n3 != 2 * tree.n - 2:
         raise AssertionError("tree handshake identity violated")
     return census

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forcing import zero_forcing_number
-from .graphs import Graph
+from .graphs import Graph, _layers
 
 CLUSTER_GAP = 1e-6
 
@@ -128,21 +128,25 @@ def minor_model_violation(g: Graph, model: MinorModel) -> str | None:
     sets = model.branch_sets
     if len(sets) != model.target:
         return f"model has {len(sets)} branch sets, target needs {model.target}"
-    used = set()
+    masks = []
     for i, s in enumerate(sets):
         if not s:
             return f"branch set {i} is empty"
         for v in s:
             if not 0 <= v < g.n:
                 return f"branch set {i} references vertex {v} out of range"
-        if used & s:
+        mask = sum(1 << v for v in s)
+        if any(m & mask for m in masks):
             return f"branch set {i} overlaps an earlier one"
-        used |= s
-        if not g.induced(s).is_connected():
+        masks.append(mask)
+        if sum(_layers([b & mask for b in g.bits], mask & -mask)) != mask:
             return f"branch set {i} does not induce a connected subgraph"
-    for i in range(len(sets)):
+    for i, s in enumerate(sets):
+        reach = 0
+        for u in s:
+            reach |= g.bits[u]
         for j in range(i + 1, len(sets)):
-            if not any(g.has_edge(u, v) for u in sets[i] for v in sets[j]):
+            if not reach & masks[j]:
                 return f"no edge joins branch sets {i} and {j}"
     return None
 

@@ -80,17 +80,6 @@ class TestGraphType:
         assert not g.is_connected()
         assert cycle_graph(5).is_connected()
 
-    def test_induced(self):
-        g = complete_graph(5).induced([1, 3, 4])
-        assert g == complete_graph(3)
-
-    @pytest.mark.parametrize("vertices, message", [([0, 5], "out of range"),
-                                                   ([-1, 0], "out of range"),
-                                                   ([0, 0, 1], "repeated")])
-    def test_induced_rejects_bad_vertices(self, vertices, message):
-        with pytest.raises(ValueError, match=message):
-            complete_graph(3).induced(vertices)
-
     def test_components_match_networkx(self):
         # every graph with 1-7 vertices, the empty graph, and random graphs
         # up to 80 vertices, past the 62 a graph6 record can hold

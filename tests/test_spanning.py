@@ -5,8 +5,8 @@ import random
 import pytest
 
 from conftest import load_catalog
-from util import (naive_closure, neighbor_sets, random_connected_graph,
-                  random_cubic_connected)
+from util import (naive_closure, naive_spanning_tree, neighbor_sets,
+                  random_connected_graph, random_cubic_connected)
 from zeroforcing import (Graph, canonical_certificate, cycle_graph,
                          degree_census, path_graph, spanning_tree, write_graph6,
                          zero_forcing_number)
@@ -76,6 +76,28 @@ class TestConstruction:
             assert result.tree.is_connected()
             assert result.tree.edges <= g.edges
             assert result.deleted == g.edges - result.tree.edges
+
+    @pytest.mark.parametrize("order", [4, 6, 8, 10, 12])
+    def test_matches_deleted_edge_rule_on_catalog(self, order):
+        for g in load_catalog(order):
+            for root in range(g.n):
+                result = spanning_tree(g, root)
+                assert (result.tree, result.layers, result.deleted) == \
+                    naive_spanning_tree(g, root), (write_graph6(g), root)
+
+    def test_matches_deleted_edge_rule_on_random_graphs(self):
+        rng = random.Random(25)
+        checked = 0
+        while checked < 200:
+            g = random_connected_graph(rng, rng.randint(1, 12),
+                                       rng.choice((0.2, 0.4, 0.7)))
+            if g.is_cubic():
+                continue
+            root = rng.randrange(g.n)
+            result = spanning_tree(g, root)
+            assert (result.tree, result.layers, result.deleted) == \
+                naive_spanning_tree(g, root), (write_graph6(g), root)
+            checked += 1
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):

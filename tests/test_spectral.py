@@ -1,5 +1,6 @@
 """Eigensolver, multiplicity/twin/minor lower bounds, and the bounds report."""
 
+import itertools
 import math
 import random
 
@@ -257,6 +258,32 @@ class TestMinorModels:
     def test_search_respects_frozen_model(self):
         g = permutation_prism(5, (1, 2))
         assert minor_model_violation(g, SWAPPED_PRISM_K5) is None
+
+    def test_matches_networkx(self):
+        # random models, some with empty, out-of-range, overlapping,
+        # disconnected or unjoined branch sets, against networkx's reading
+        rng = random.Random(31)
+        valid = 0
+        for _ in range(2500):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n, rng.choice((0.3, 0.5, 0.8)))
+            h = networkx.Graph(list(g.edges))
+            h.add_nodes_from(range(n))
+            target = rng.randint(1, 5)
+            sets = [{rng.randint(-1, n) if rng.random() < 0.05
+                     else rng.randrange(n) for _ in range(rng.randint(0, 4))}
+                    for _ in range(target)]
+            expected = (
+                all(s and s <= set(range(n)) for s in sets)
+                and sum(map(len, sets)) == len(set().union(*sets))
+                and all(networkx.is_connected(h.subgraph(s)) for s in sets)
+                and all(any(True for _ in networkx.edge_boundary(h, a, b))
+                        for a, b in itertools.combinations(sets, 2)))
+            model = MinorModel(sets, target)
+            assert (minor_model_violation(g, model) is None) == expected, \
+                (sorted(g.edges), sets)
+            valid += expected
+        assert valid >= 100
 
 
 class TestBoundsReport:

@@ -50,6 +50,31 @@ def naive_closure(g: Graph, initial) -> set:
     return black
 
 
+def naive_spanning_tree(g: Graph, root: int):
+    """Reference layered spanning tree by the deleted-edge rule, as
+    (tree, layers, deleted): every edge inside a layer is deleted, and of a
+    vertex's edges to the previous layer only the one from the parent largest
+    by (degree, id) survives."""
+    nbrs = neighbor_sets(g)
+    layers = [{root}]
+    seen = {root}
+    while True:
+        nxt = {w for u in layers[-1] for w in nbrs[u]} - seen
+        if not nxt:
+            break
+        layers.append(nxt)
+        seen |= nxt
+    deleted = set()
+    for previous, layer in zip([set()] + layers, layers):
+        for x in layer:
+            parents = nbrs[x] & previous
+            keep = max(parents, key=lambda u: (len(nbrs[u]), u), default=None)
+            for u in (parents - {keep}) | (nbrs[x] & layer):
+                deleted.add((min(u, x), max(u, x)))
+    return (Graph(g.n, g.edges - deleted), tuple(map(frozenset, layers)),
+            frozenset(deleted))
+
+
 def naive_colex_least(g: Graph):
     """Reference (Z, witness): the first forcing set by size, and within a
     size in colex order (sorted by the members taken in descending order)."""
