@@ -81,7 +81,7 @@ class Graph:
         return tuple(out)
 
     def is_connected(self) -> bool:
-        return self.n > 0 and len(self.components()) == 1
+        return self.n > 0 and sum(_layers(self.bits, 1)) == (1 << self.n) - 1
 
 
 def _mask_vertices(mask: int):

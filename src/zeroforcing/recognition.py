@@ -3,7 +3,7 @@
 Membership in the assembled block family characterizes these graphs, and a
 member is reported with the first assembly isomorphic to it, the spec
 `family_members` keeps for its class.  Recognition builds only what a query
-needs.  Graphs with edge connectivity below 3 are rejected first; the exact
+needs.  Edge connectivity 0 (disconnected) raises, 1 or 2 rejects; the exact
 solver runs next, and Z != 3 rejects without any labelling.  A graph with
 Z = 3 is labelled and looked up in an index of the assemblies of its order
 (cached per order), bucketed by the sorted multiset of distance profiles:
@@ -62,9 +62,9 @@ def recognize_z3(g: Graph) -> RecognitionResult:
     """Classify a connected cubic graph by whether its zero forcing number is 3."""
     if not g.is_cubic():
         raise ValueError("recognition is defined for cubic graphs")
-    if not g.is_connected():
-        raise ValueError("recognition is defined for connected graphs")
     kappa = edge_connectivity(g)
+    if not kappa:
+        raise ValueError("recognition is defined for connected graphs")
     if kappa < 3:
         return RecognitionResult(member=False, edge_connectivity=kappa)
     z = zero_forcing_number(g).z

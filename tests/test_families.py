@@ -130,6 +130,10 @@ class TestLadderM:
         assert len(white) == 3
         assert attachment == (0, 1, 7)
 
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ladder_m(-1)
+
 
 def spec_of(*blocks) -> FamilySpec:
     """The spec joining each junction by the identity matching."""
@@ -300,9 +304,14 @@ class TestNecklace:
             assert naive_closure(g, result.witness) == set(range(g.n))
 
     def test_two_twin_pairs_per_bead(self):
-        classes = twin_classes(necklace(3))
-        assert len(classes) == 6
-        assert all(len(c) == 2 for c in classes)
+        # {p1, p2} and {p3, p4} of each bead, and no other equal neighborhoods
+        for beads in range(2, 7):
+            classes = twin_classes(necklace(beads))
+            assert len(classes) == 2 * beads
+            assert all(len(c) == 2 for c in classes)
+            bead_starts = range(0, 6 * beads, 6)
+            assert set(classes) == {(o + 1, o + 2) for o in bead_starts} \
+                | {(o + 3, o + 4) for o in bead_starts}
 
     def test_single_bead_rejected(self):
         with pytest.raises(ValueError):

@@ -46,6 +46,13 @@ class TestGraphType:
         with pytest.raises(ValueError, match="out of range"):
             Graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize("build, n, message", [
+        (Graph, -1, "non-negative"), (cycle_graph, 2, "at least 3")],
+        ids=["Graph", "cycle_graph"])
+    def test_rejects_bad_order(self, build, n, message):
+        with pytest.raises(ValueError, match=message):
+            build(n)
+
     def test_parallel_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert len(g.edges) == 1
@@ -359,6 +366,10 @@ class TestRefine:
 
 
 class TestCanonicalCertificate:
+    def test_empty_graph(self):
+        assert canonical_labelling(Graph(0)) == ((0, 0), (), ())
+        assert canonical_certificate(Graph(0)) == (0, 0)
+
     def test_matches_isomorphism(self):
         rng = random.Random(5)
         for _ in range(150):

@@ -113,11 +113,25 @@ class TestPreconditions:
         with pytest.raises(ValueError, match="cubic"):
             recognize_z3(complete_graph(5))
 
-    def test_disconnected_rejected(self):
-        doubled = Graph(8, list(complete_graph(4).edges)
-                        + [(u + 4, v + 4) for u, v in complete_graph(4).edges])
-        with pytest.raises(ValueError, match="connected"):
-            recognize_z3(doubled)
+    def test_disconnected_rejected(self, monkeypatch):
+        # edge connectivity 0 decides it: no second search, and no solve
+        def fail(*args):
+            raise AssertionError("recognition ran more than edge connectivity")
+
+        monkeypatch.setattr(Graph, "is_connected", fail)
+        monkeypatch.setattr(recognition, "zero_forcing_number", fail)
+        rng = random.Random(19)
+        fixtures = [g for order in (4, 6, 8, 10) for g in load_catalog(order)]
+        pairs = [(complete_graph(4), complete_graph(4)),
+                 (complete_graph(4), TRIANGULAR_PRISM)]
+        pairs += [(rng.choice(fixtures), rng.choice(fixtures))
+                  for _ in range(60)]
+        for a, b in pairs:
+            union = Graph(a.n + b.n, list(a.edges)
+                          + [(u + a.n, v + a.n) for u, v in b.edges])
+            for g in (union, permuted_copy(rng, union)):
+                with pytest.raises(ValueError, match="connected graphs"):
+                    recognize_z3(g)
 
 
 class TestAgreementWithSolver:

@@ -7,9 +7,9 @@ import pytest
 from conftest import load_catalog
 from util import (naive_closure, naive_spanning_tree, neighbor_sets,
                   random_connected_graph, random_cubic_connected)
-from zeroforcing import (Graph, canonical_certificate, cycle_graph,
-                         degree_census, path_graph, spanning_tree, write_graph6,
-                         zero_forcing_number)
+from zeroforcing import (Graph, SpanningTree, canonical_certificate,
+                         cycle_graph, degree_census, path_graph, spanning_tree,
+                         write_graph6, zero_forcing_number)
 
 # worked host graph: root 0, two gadgets whose children have two parents each
 WORKED_GRAPH_12 = Graph(12, [(0, 1), (0, 2), (0, 3), (4, 1), (5, 1), (6, 2),
@@ -17,6 +17,17 @@ WORKED_GRAPH_12 = Graph(12, [(0, 1), (0, 2), (0, 3), (4, 1), (5, 1), (6, 2),
                           (7, 11), (8, 11), (10, 11)])
 WORKED_TREE_12 = Graph(12, [(0, 1), (0, 2), (0, 3), (4, 1), (5, 1), (6, 2),
                          (8, 3), (7, 3), (5, 9), (7, 10), (7, 11)])
+
+
+@pytest.fixture
+def one_search(monkeypatch):
+    """spanning_tree reads connectivity from its own layers: any other
+    connectivity search fails the test."""
+    def fail(self):
+        raise AssertionError("spanning_tree ran a second connectivity search")
+
+    monkeypatch.setattr(Graph, "is_connected", fail)
+    monkeypatch.setattr(Graph, "components", fail)
 
 
 class TestConstruction:
@@ -78,7 +89,7 @@ class TestConstruction:
             assert result.deleted == g.edges - result.tree.edges
 
     @pytest.mark.parametrize("order", [4, 6, 8, 10, 12])
-    def test_matches_deleted_edge_rule_on_catalog(self, order):
+    def test_matches_deleted_edge_rule_on_catalog(self, order, one_search):
         for g in load_catalog(order):
             for root in range(g.n):
                 result = spanning_tree(g, root)
@@ -99,13 +110,22 @@ class TestConstruction:
                 naive_spanning_tree(g, root), (write_graph6(g), root)
             checked += 1
 
-    def test_disconnected_rejected(self):
-        with pytest.raises(ValueError, match="connected"):
-            spanning_tree(Graph(4, [(0, 1), (2, 3)]), 0)
+    def test_disconnected_rejected(self, one_search):
+        # the root's layers stop short of the full vertex set, whichever
+        # component holds the root, the larger one included
+        for g, root in ((Graph(4, [(0, 1), (2, 3)]), 0),
+                        (Graph(5, [(0, 1), (1, 2), (3, 4)]), 0),
+                        (Graph(5, [(0, 1), (1, 2), (3, 4)]), 4),
+                        (Graph(3), 1)):
+            with pytest.raises(ValueError, match="needs a connected graph"):
+                spanning_tree(g, root)
 
-    def test_root_range(self):
+    def test_root_range(self, one_search):
         with pytest.raises(ValueError, match="root"):
             spanning_tree(path_graph(3), 3)
+        # the root is checked before connectivity, also on the empty graph
+        with pytest.raises(ValueError, match="root 0 out of range for n=0"):
+            spanning_tree(Graph(0), 0)
 
 
 class TestDegreeCensus:
@@ -122,6 +142,12 @@ class TestDegreeCensus:
         star5 = Graph(5, [(0, v) for v in range(1, 5)])
         with pytest.raises(ValueError, match="maximum degree 3"):
             degree_census(spanning_tree(star5, 0))
+
+    def test_rejects_a_hand_built_non_tree(self):
+        # every degree of the 4-cycle is allowed, its edge count is not
+        with pytest.raises(ValueError,
+                           match="a tree on 4 vertices has 3 edges, found 4"):
+            degree_census(SpanningTree(cycle_graph(4), 0, (), frozenset()))
 
     def test_counterexample16_tree_branch_count(self):
         from zeroforcing import counterexample16

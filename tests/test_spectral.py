@@ -165,6 +165,10 @@ class TestMultiplicityBound:
     def test_petersen(self):
         assert max_multiplicity_bound(petersen()) == 5
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="empty graph"):
+            max_multiplicity_bound(Graph(0))
+
     def test_unchecked_decomposition_is_refused(self, monkeypatch, tmp_path,
                                                 capsys):
         # an eigenvector basis off by 1e-6 fails the residual and orthogonality
