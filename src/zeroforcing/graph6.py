@@ -1,9 +1,11 @@
-"""Bit-exact graph6 codec, single-byte size form only (0 <= n <= 62).
+"""Bit-exact graph6 codec for 0 <= n <= 258047.
 
-Layout: byte 0 holds 63+n; each following byte carries six bits (most
-significant first) of the upper-triangle adjacency read in column order
-(0,1),(0,2),(1,2),(0,3),...; the last byte is zero-padded; every data byte is
-offset by 63.
+Layout: the size field is one byte 63+n for n <= 62, or '~' and three bytes
+that carry n in 18 bits, six per byte, for 63 <= n <= 258047; the 8-byte
+form '~~' for larger n is not supported.  Each following byte carries six
+bits (most significant first) of the upper-triangle adjacency read in column
+order (0,1),(0,2),(1,2),(0,3),...; the last byte is zero-padded; every byte
+but '~' is offset by 63.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from .graphs import Graph
 
 HEADER = ">>graph6<<"
+MAX_ORDER = 258047
 
 
 class Graph6Error(ValueError):
@@ -30,22 +33,29 @@ def parse_graph6(text: str) -> Graph:
         line = line[base:]
     if not line:
         raise Graph6Error("empty graph6 record", base)
+    if line.startswith("~~"):
+        raise Graph6Error("length field '~~' (the 8-byte size form for "
+                          "n >= 258048) is not supported", base)
     if line[0] == "~":
-        raise Graph6Error("length field '~' (the size form for n >= 63) "
-                          "is not supported", base)
-    size = ord(line[0]) - 63
-    if not 0 <= size <= 62:
-        raise Graph6Error(f"malformed length field {line[0]!r}", base)
-    n = size
+        field = [ord(ch) - 63 for ch in line[1:4]]
+        n = field[0] << 12 | field[1] << 6 | field[2] if len(field) == 3 else -1
+        if not (all(0 <= v <= 63 for v in field) and 63 <= n <= MAX_ORDER):
+            raise Graph6Error(f"malformed length field {line[:4]!r}", base)
+        width = 4
+    else:
+        n = ord(line[0]) - 63
+        if not 0 <= n <= 62:
+            raise Graph6Error(f"malformed length field {line[0]!r}", base)
+        width = 1
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    data = line[1:]
+    data = line[width:]
     if len(data) < need:
         raise Graph6Error(f"record needs {need} data bytes, found {len(data)}",
                           base + len(line))
     if len(data) > need:
         raise Graph6Error("trailing data after adjacency bits",
-                          base + 1 + need)
+                          base + width + need)
     edges = []
     bit = 0
     pairs = [(i, j) for j in range(n) for i in range(j)]
@@ -53,11 +63,12 @@ def parse_graph6(text: str) -> Graph:
         val = ord(ch) - 63
         if not 0 <= val <= 63:
             raise Graph6Error(f"character {ch!r} outside printable range",
-                              base + 1 + k)
+                              base + width + k)
         for shift in range(5, -1, -1):
             if (val >> shift) & 1:
                 if bit >= nbits:
-                    raise Graph6Error("trailing bits nonzero", base + 1 + k)
+                    raise Graph6Error("trailing bits nonzero",
+                                      base + width + k)
                 edges.append(pairs[bit])
             bit += 1
     return Graph(n, edges)
@@ -65,9 +76,12 @@ def parse_graph6(text: str) -> Graph:
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph; inverse of parse_graph6 with zero padding bits."""
-    if not 0 <= g.n <= 62:
-        raise ValueError(f"graph6 single-byte form covers 0..62 vertices, got {g.n}")
-    out = [chr(63 + g.n)]
+    if g.n <= 62:
+        out = [chr(63 + g.n)]
+    elif g.n <= MAX_ORDER:
+        out = ["~"] + [chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)]
+    else:
+        raise ValueError(f"graph6 covers 0..{MAX_ORDER} vertices here, got {g.n}")
     val = 0
     count = 0
     for j, row in enumerate(g.bits):

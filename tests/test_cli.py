@@ -1,6 +1,7 @@
 """Command-line behavior: record formats, pipes, error handling, exit codes."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import zeroforcing
-from util import naive_closure
-from zeroforcing import (cycle_graph, distinct_assemblies, family_members,
-                         heawood_graph, necklace, parse_graph6, path_graph,
-                         permutation_prism, write_graph6, zero_forcing_number)
+from util import naive_closure, permuted_copy, random_family_spec
+from zeroforcing import (build_family, canonical_certificate, cycle_graph,
+                         distinct_assemblies, family_members, heawood_graph,
+                         necklace, parse_graph6, path_graph, permutation_prism,
+                         recognize_z3, write_graph6, zero_forcing_number)
 from zeroforcing.cli import main
 
 
@@ -94,6 +96,19 @@ def test_gen_order_without_a_bare_family_is_a_usage_error(argv):
     assert code == 2
     assert out == ""
     assert "--order takes `family` and no block spec" in err
+
+
+def test_recognize_a_member_past_the_one_byte_size_field():
+    rng = random.Random(64)
+    g = permuted_copy(rng, build_family(random_family_spec(rng, 64)))
+    record = write_graph6(g)
+    assert record[0] == "~"
+    code, out, err = run_cli(["recognize"], stdin=record + "\n")
+    assert (code, err) == (0, "")
+    result = recognize_z3(g)
+    assert out == f"{record}  member  spec={result.spec.label()}\n"
+    assert canonical_certificate(build_family(result.spec)) == \
+        canonical_certificate(g)
 
 
 def test_closure_black_flag(capsys, tmp_path):

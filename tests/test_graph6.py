@@ -86,23 +86,65 @@ def test_matches_networkx():
 
 
 def test_writer_range():
-    with pytest.raises(ValueError):
-        write_graph6(Graph(63))
+    assert write_graph6(Graph(62)) == "}" + "?" * 316
+    assert write_graph6(Graph(63)).startswith("~??~")
+    assert write_graph6(Graph(127)).startswith("~?@~")
+    with pytest.raises(ValueError, match="0..258047"):
+        write_graph6(Graph(258048))
+
+
+@pytest.mark.parametrize("n", [63, 64, 100, 200])
+def test_four_byte_size_form_matches_networkx(n):
+    h = networkx.gnp_random_graph(n, 0.3, seed=n)
+    g = Graph(n, list(h.edges()))
+    record = networkx.to_graph6_bytes(h, nodes=range(n), header=False)
+    record = record.decode().rstrip("\n")
+    assert record[0] == "~"
+    assert write_graph6(g) == record
+    assert parse_graph6(record) == g
+    assert parse_graph6(">>graph6<<" + record + "\n") == g
+
+
+@pytest.mark.parametrize("record", [
+    "~", "~??", "~" + chr(30) + "??",
+    "~???",                  # n = 0 belongs in the one-byte form
+])
+def test_four_byte_size_form_malformed(record):
+    with pytest.raises(Graph6Error, match="malformed length field") as exc:
+        parse_graph6(record)
+    assert exc.value.offset == 0
 
 
 def test_malformed_length_field():
     with pytest.raises(Graph6Error, match="length field") as exc:
-        parse_graph6("~~~")        # multi-byte size form is out of scope
+        parse_graph6("~~~")        # the 8-byte size form is out of scope
     assert exc.value.offset == 0
 
 
 def test_large_size_form_is_unsupported():
-    record = networkx.to_graph6_bytes(networkx.path_graph(63), header=False)
-    with pytest.raises(Graph6Error, match="n >= 63.*not supported") as exc:
-        parse_graph6(record.decode())
+    # '~~' opens the 8-byte size form, for n >= 258048
+    with pytest.raises(Graph6Error, match="'~~'.*8-byte.*not supported") as exc:
+        parse_graph6("~~??_???")
     assert exc.value.offset == 0
+    with pytest.raises(Graph6Error, match="8-byte") as exc:
+        parse_graph6(">>graph6<<~~??_???")
+    assert exc.value.offset == len(">>graph6<<")
     with pytest.raises(Graph6Error, match="malformed length field '>'"):
         parse_graph6(">")          # byte 62 encodes n = -1
+
+
+def test_data_offsets_follow_the_four_byte_size_field():
+    with pytest.raises(Graph6Error, match="needs 1334 data bytes") as exc:
+        parse_graph6("~?@~")     # n = 127
+    assert exc.value.offset == 4
+    record = write_graph6(Graph(63))
+    with pytest.raises(Graph6Error, match="trailing data") as exc:
+        parse_graph6(record + "?")
+    assert exc.value.offset == len(record)
+    bad = record[:5] + chr(30) + record[6:]
+    with pytest.raises(Graph6Error, match="printable range") as exc:
+        parse_graph6(bad)
+    assert exc.value.offset == 5
 
 
 def test_character_out_of_range():

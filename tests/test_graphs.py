@@ -89,7 +89,7 @@ class TestGraphType:
 
     def test_components_match_networkx(self):
         # every graph with 1-7 vertices, the empty graph, and random graphs
-        # up to 80 vertices, past the 62 a graph6 record can hold
+        # up to 80 vertices, past the 62 of the one-byte graph6 size field
         rng = random.Random(12)
         hosts = list(networkx.graph_atlas_g()[1:])
         hosts.append(networkx.empty_graph(0))

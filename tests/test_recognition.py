@@ -6,11 +6,12 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import load_catalog
-from util import canonical_mapping, mapping_is_valid, permuted_copy
+from util import (index_spec, mapping_is_valid, permuted_copy,
+                  random_family_spec)
 from zeroforcing import (Graph, build_family, canonical_certificate,
                          complete_bipartite, complete_graph, family_members,
-                         heawood_graph, recognition, recognize_z3,
-                         zero_forcing_number)
+                         heawood_graph, permutation_prism, recognition,
+                         recognize_z3, zero_forcing_number)
 
 TRIANGULAR_PRISM = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                              (0, 3), (1, 4), (2, 5)])
@@ -36,17 +37,12 @@ def two_cut_cubic() -> Graph:
                      (2, 6), (3, 7)])
 
 
-def check_relabelled_members():
-    """Each member of orders 4-18, relabelled, is recognized with its
-    `family_members` spec and the mapping its canonical labellings give."""
-    rng = random.Random(18)
-    for order in range(4, 19, 2):
+def relabelled_members(seed: int, orders):
+    """(spec, member, relabelled copy) for every member of the orders."""
+    rng = random.Random(seed)
+    for order in orders:
         for spec, member in family_members(order):
-            g = permuted_copy(rng, member)
-            result = recognize_z3(g)
-            assert result.member and result.spec == spec
-            assert result.mapping == canonical_mapping(member, g)
-            assert mapping_is_valid(member, g, result.mapping)
+            yield spec, member, permuted_copy(rng, member)
 
 
 class TestCertificates:
@@ -92,16 +88,21 @@ class TestCertificates:
 
 class TestOrderOfChecks:
     def test_non_members_are_solved_without_labelling(self, monkeypatch):
-        def no_labelling(*args):
-            pytest.fail("a graph with Z != 3 was labelled")
-        monkeypatch.setattr(recognition, "canonical_labelling", no_labelling)
+        # edge connectivity below 3 and Z != 3 both reject before the walk
+        def no_walk(*args):
+            pytest.fail("a non-member was walked")
+        monkeypatch.setattr(recognition, "_least_parse", no_walk)
         for g, z in ((heawood_graph(), 6), (complete_bipartite(3, 3), 4)):
             result = recognize_z3(g)
             assert not result.member and result.z == z
+        for g, kappa in ((bridged_cubic(), 1), (two_cut_cubic(), 2)):
+            result = recognize_z3(g)
+            assert not result.member and result.edge_connectivity == kappa
 
     def test_z3_without_a_matching_member_refutes_the_characterization(
             self, monkeypatch):
-        # K3,3 is cubic with edge connectivity 3 and Z = 4; report Z = 3
+        # K3,3 is cubic with edge connectivity 3 and Z = 4; report Z = 3.
+        # It has no triangle, so no apex starts a walk and no parse exists
         monkeypatch.setattr(recognition, "zero_forcing_number",
                             lambda g: SimpleNamespace(z=3))
         with pytest.raises(AssertionError, match="refute"):
@@ -151,19 +152,43 @@ class TestAgreementWithSolver:
         assert sum(verdicts) == 10
 
     def test_relabelled_members_through_order_eighteen(self):
-        check_relabelled_members()
+        # each is recognized with its `family_members` spec and a valid
+        # mapping, and the same input gives the same mapping again
+        for spec, member, g in relabelled_members(18, range(4, 19, 2)):
+            result = recognize_z3(g)
+            assert result.member and result.spec == spec
+            assert mapping_is_valid(member, g, result.mapping)
+            assert recognize_z3(Graph(g.n, g.edges)).mapping == result.mapping
 
-    def test_relabelled_members_when_later_specs_are_labelled_lazily(
-            self, monkeypatch):
-        # one bucket per order: every member but the order's first assembly
-        # is found among the entries labelled only when a query reaches them
-        monkeypatch.setattr(recognition, "_bucket_key", lambda g: ())
-        recognition._index.cache_clear()
-        try:
-            check_relabelled_members()
-            assert len(recognition._index(18)) == 1
-        finally:
-            recognition._index.cache_clear()
+    def test_specs_match_the_index_oracle(self):
+        # every relabelled member through order 20 and every fixture through
+        # order 14; the oracle reports None where no assembly is isomorphic
+        graphs = [g for _, _, g in relabelled_members(20, range(4, 21, 2))]
+        assert len(graphs) == 310
+        graphs += [g for order in range(4, 15, 2) for g in load_catalog(order)]
+        for g in graphs:
+            assert recognize_z3(g).spec == index_spec(g)
+
+    def test_walk_parses_exactly_the_members(self):
+        # the walk alone, on every fixture through order 14, Z != 3 included
+        for order in range(4, 15, 2):
+            for g in load_catalog(order):
+                mapping = recognition._least_parse(g)[1]
+                assert (mapping is not None) == (index_spec(g) is not None)
+
+    def test_random_members_of_large_order(self):
+        rng = random.Random(62)
+        for order in (24, 40, 62):
+            for _ in range(4):
+                built = build_family(random_family_spec(rng, order))
+                g = permuted_copy(rng, built)
+                result = recognize_z3(g)
+                assert result.member and g.n == order
+                member = build_family(result.spec)
+                assert mapping_is_valid(member, g, result.mapping)
+                assert canonical_certificate(member) == canonical_certificate(g)
+        result = recognize_z3(permutation_prism(31))
+        assert not result.member and result.z == 4
 
     def test_members_never_have_small_cuts(self):
         from zeroforcing import edge_connectivity

@@ -326,7 +326,8 @@ class TestBoundsReport:
             bounds_report(Graph(4, [(0, 1), (2, 3)]))
 
     def test_beyond_graph6_range_is_solved(self):
-        # the codec stops at 62 vertices; the eigensolver and the solver do not
+        # past the one-byte graph6 size field (n <= 62): the eigensolver and
+        # the solver take a Graph of any size
         assert bounds_report(cycle_graph(64)).m == 2
         report = bounds_report(permutation_prism(40))
         assert (report.lower, report.upper) == (3, 4)

@@ -14,8 +14,9 @@ import random
 import networkx
 import numpy as np
 
-from zeroforcing import Graph, canonical_labelling, forcing
-from zeroforcing.graphs import _mask_vertices
+from zeroforcing import (FamilySpec, Graph, assemblies, block_sequences,
+                         build_family, canonical_labelling, forcing)
+from zeroforcing.graphs import _mask_vertices, distance_profiles
 
 
 @functools.lru_cache(maxsize=None)
@@ -153,6 +154,48 @@ def canonical_mapping(g: Graph, h: Graph):
     if cert_g != cert_h:
         return None
     return tuple(w for _, w in sorted(zip(order_g, order_h)))
+
+
+@functools.lru_cache(maxsize=None)
+def _assembly_index(order: int) -> dict:
+    """Sorted distance-profile multiset -> [[spec, certificate or None]] for
+    every assembly of the order, in assembly order; the first entry of each
+    bucket is labelled here, the others when a lookup first reaches them."""
+    index = {}
+    for spec, g in assemblies(block_sequences(order)):
+        profiles = distance_profiles(g)
+        bucket = index.setdefault(tuple(sorted(profiles)), [])
+        bucket.append([spec, None if bucket
+                       else canonical_labelling(g, profiles)[0]])
+    return index
+
+
+def index_spec(g: Graph):
+    """Reference recognition spec: the first assembly of g's order that is
+    isomorphic to g, looked up by canonical certificate among the assemblies
+    whose distance-profile multiset matches g's, or None."""
+    profiles = distance_profiles(g)
+    cert = canonical_labelling(g, profiles)[0]
+    for entry in _assembly_index(g.n).get(tuple(sorted(profiles)), ()):
+        if entry[1] is None:
+            entry[1] = canonical_labelling(build_family(entry[0]))[0]
+        if entry[1] == cert:
+            return entry[0]
+    return None
+
+
+def random_family_spec(rng: random.Random, order: int) -> FamilySpec:
+    """A random assembly recipe of the given even order >= 4: the order
+    fixes 2t + (M indices) + (T index) = (order - 4) / 2 for t M blocks,
+    and each junction takes a random bijection."""
+    budget = (order - 4) // 2
+    t = rng.randint(0, budget // 2)
+    cuts = sorted(rng.randint(0, budget - 2 * t) for _ in range(t))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [budget - 2 * t])]
+    perms = list(itertools.permutations(range(3)))
+    return FamilySpec(blocks=tuple(("M", k) for k in sizes[:-1])
+                      + (("T", sizes[-1]),),
+                      matchings=tuple(rng.choice(perms) for _ in range(t)))
 
 
 def mapping_is_valid(g: Graph, h: Graph, mapping) -> bool:
