@@ -5,15 +5,23 @@ that carry n in 18 bits, six per byte, for 63 <= n <= 258047; the 8-byte
 form '~~' for larger n is not supported.  Each following byte carries six
 bits (most significant first) of the upper-triangle adjacency read in column
 order (0,1),(0,2),(1,2),(0,3),...; the last byte is zero-padded; every byte
-but '~' is offset by 63.
+but '~' is offset by 63.  Bit b lies in column j, the largest with
+j(j-1)/2 <= b.  The parser decodes only the data bytes that are not 63, and
+the writer sets one bit per edge, so both take time linear in the bytes plus
+the edges.
 """
 
 from __future__ import annotations
+
+import re
+from math import isqrt
 
 from .graphs import Graph
 
 HEADER = ">>graph6<<"
 MAX_ORDER = 258047
+_NONZERO = re.compile(r"[^?]")      # a data byte that is not 63 + 0
+_OFFSET = bytes(range(63, 127)) + bytes(192)    # translate 0..63 to 63..126
 
 
 class Graph6Error(ValueError):
@@ -57,20 +65,20 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error("trailing data after adjacency bits",
                           base + width + need)
     edges = []
-    bit = 0
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    for k, ch in enumerate(data):
-        val = ord(ch) - 63
+    for match in _NONZERO.finditer(data):
+        k = match.start()
+        val = ord(match.group()) - 63
         if not 0 <= val <= 63:
-            raise Graph6Error(f"character {ch!r} outside printable range",
-                              base + width + k)
-        for shift in range(5, -1, -1):
-            if (val >> shift) & 1:
-                if bit >= nbits:
-                    raise Graph6Error("trailing bits nonzero",
-                                      base + width + k)
-                edges.append(pairs[bit])
-            bit += 1
+            raise Graph6Error(f"character {match.group()!r} outside printable "
+                              "range", base + width + k)
+        while val:
+            low = val & -val
+            val ^= low
+            bit = 6 * k + 6 - low.bit_length()
+            if bit >= nbits:
+                raise Graph6Error("trailing bits nonzero", base + width + k)
+            j = (1 + isqrt(8 * bit + 1)) // 2
+            edges.append((bit - j * (j - 1) // 2, j))
     return Graph(n, edges)
 
 
@@ -82,16 +90,10 @@ def write_graph6(g: Graph) -> str:
         out = ["~"] + [chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)]
     else:
         raise ValueError(f"graph6 covers 0..{MAX_ORDER} vertices here, got {g.n}")
-    val = 0
-    count = 0
-    for j, row in enumerate(g.bits):
-        for i in range(j):
-            val = (val << 1) | (row >> i & 1)
-            count += 1
-            if count == 6:
-                out.append(chr(63 + val))
-                val = count = 0
-    if count:
-        out.append(chr(63 + (val << (6 - count))))
+    nbits = g.n * (g.n - 1) // 2
+    data = bytearray((nbits + 5) // 6)
+    for i, j in g.edges:
+        bit = j * (j - 1) // 2 + i
+        data[bit // 6] |= 32 >> bit % 6
+    out.append(data.translate(_OFFSET).decode())
     return "".join(out)
-

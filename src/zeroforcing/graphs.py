@@ -201,17 +201,28 @@ def _refine(nbrs, colors):
     """Iterated neighborhood refinement with canonical color ids; nbrs[v]
     lists v's neighbours, and colors holds the dense ids 0..k-1.  A key
     leads with its vertex's color, so the ids stay dense and ordered, and
-    the coloring is stable once no class splits into two keys."""
+    the coloring is stable once no class splits into two keys.
+
+    Two shortcuts skip work whose outcome is fixed.  A vertex alone in its
+    class is keyed `(c,)`: no other key leads with c, so its key sorts to
+    the same place whatever follows c, and every id comes out the same.  A
+    discrete coloring is returned at once: each key is then alone under its
+    color, so a further round would rank them as they stand."""
+    n = len(colors)
     classes = max(colors) + 1
-    while True:
-        keys = [(c, *sorted(map(colors.__getitem__, vs)))
-                for c, vs in zip(colors, nbrs)]
+    while classes < n:
+        size = [0] * classes
+        for c in colors:
+            size[c] += 1
+        keys = [(c, *sorted(map(colors.__getitem__, vs))) if size[c] > 1
+                else (c,) for c, vs in zip(colors, nbrs)]
         distinct = sorted(set(keys))
         if len(distinct) == classes:
             return colors
         remap = {k: i for i, k in enumerate(distinct)}
         colors = [remap[k] for k in keys]
         classes = len(distinct)
+    return colors
 
 
 def distance_profiles(g: Graph) -> list:
@@ -276,6 +287,11 @@ def canonical_labelling(g: Graph, profiles=None) -> tuple:
     repeat keys already seen, so the least key is still found.  Each
     automorphism is a tuple p with p[v] the image of v, and together they
     generate Aut(g), found at no extra search cost.
+    The per-node shortcuts keep every id: `_refine` keys a singleton by its
+    color alone and returns a discrete coloring at once (see there).  The
+    ids are dense, so a node with n colors is a leaf, whose `order` is the
+    inverse of its coloring; any other node's target is the first cell, by
+    color, with two or more vertices.
     """
     n = g.n
     if n == 0:
@@ -294,16 +310,17 @@ def canonical_labelling(g: Graph, profiles=None) -> tuple:
         """Search below the node; returns the depth the search resumes at."""
         nonlocal first, best
         depth = len(path)
-        cells = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        split = [c for c in sorted(cells) if len(cells[c]) > 1]
-        if not split:       # discrete: colors[v] is v's position
+        classes = max(colors) + 1
+        if classes == n:    # discrete: colors[v] is v's position
             key = 0
             for u, w in g.edges:
-                i, j = sorted((colors[u], colors[w]))
+                i, j = colors[u], colors[w]
+                if i > j:
+                    i, j = j, i
                 key |= 1 << (top - j * (j - 1) // 2 - i)
-            order = sorted(range(n), key=colors.__getitem__)
+            order = [0] * n
+            for v, c in enumerate(colors):
+                order[c] = v
             if best is None or key < best[0]:
                 best = (key, order)
             if first is None:
@@ -317,8 +334,11 @@ def canonical_labelling(g: Graph, profiles=None) -> tuple:
                     _union(orbit, u, w)
                 return next(i for i, (u, w) in enumerate(zip(path, first[1])) if u != w)
             return depth
+        cells = [[] for _ in range(classes)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
         explored = []
-        for v in cells[split[0]]:
+        for v in next(cell for cell in cells if len(cell) > 1):
             # while a first-path node is open, every automorphism found so
             # far diverged below it, so each one fixes the node's prefix
             if on_first_path and (_find(orbit, v)

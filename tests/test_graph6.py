@@ -8,7 +8,7 @@ import pytest
 from conftest import DATA_DIR
 from util import random_graph
 from zeroforcing import (Graph, Graph6Error, complete_graph, parse_graph6,
-                         path_graph, write_graph6)
+                         path_graph, permutation_prism, write_graph6)
 
 
 def reference_encode(g: Graph) -> str:
@@ -103,6 +103,19 @@ def test_four_byte_size_form_matches_networkx(n):
     assert write_graph6(g) == record
     assert parse_graph6(record) == g
     assert parse_graph6(">>graph6<<" + record + "\n") == g
+
+
+def test_sparse_record_of_two_thousand_vertices_matches_networkx():
+    # n = 2000 in the `~` size form: 333 167 data bytes for 3000 edges
+    g = permutation_prism(1000)
+    h = networkx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    record = networkx.to_graph6_bytes(h, nodes=range(g.n), header=False)
+    record = record.decode().rstrip("\n")
+    assert len(record) == 4 + 333167
+    assert write_graph6(g) == record
+    assert parse_graph6(record) == g
 
 
 @pytest.mark.parametrize("record", [

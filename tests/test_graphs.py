@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import load_catalog
 from util import (atlas_graphs, brute_force_isomorphic, canonical_mapping,
                   mapping_is_valid, naive_refine, neighbor_sets, permuted_copy,
-                  random_connected_graph, random_graph)
+                  random_connected_graph, random_graph, reference_labelling)
 from zeroforcing import (Graph, canonical_certificate, canonical_labelling,
                          complete_bipartite, complete_graph, cycle_graph,
                          edge_connectivity, heawood_graph, necklace,
@@ -363,6 +363,38 @@ class TestRefine:
             nbrs = [tuple(sorted(vs)) for vs in neighbor_sets(g)]
             for colors in self.colorings(g, nbrs):
                 assert _refine(nbrs, colors) == naive_refine(nbrs, colors)
+
+
+class TestReferenceLabelling:
+    """`canonical_labelling` returns the same (certificate, order,
+    automorphisms) as the search before its per-node shortcuts
+    (`reference_labelling`), so no catalog, family or mapping moves."""
+
+    @staticmethod
+    def assert_same(g):
+        assert canonical_labelling(g) == reference_labelling(g)
+
+    def test_atlas_graphs(self):
+        inputs = [g for n in range(8) for g in atlas_graphs(n)]
+        assert len(inputs) == 1253
+        for g in inputs:
+            self.assert_same(g)
+
+    def test_cubic_fixtures_and_relabellings(self):
+        rng = random.Random(24)
+        fixtures = [g for order in range(4, 15, 2) for g in load_catalog(order)]
+        assert len(fixtures) == 621
+        for g in fixtures:
+            self.assert_same(g)
+            self.assert_same(permuted_copy(rng, g))
+
+    def test_large_and_symmetric_graphs(self):
+        # symmetric graphs, where automorphism pruning carries the search,
+        # two of them past 63 vertices, and the edgeless graphs, whose root
+        # class holds every vertex
+        for g in (cycle_graph(64), permutation_prism(40), necklace(4),
+                  Graph(0), Graph(5)):
+            self.assert_same(g)
 
 
 class TestCanonicalCertificate:

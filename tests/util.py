@@ -16,7 +16,8 @@ import numpy as np
 
 from zeroforcing import (FamilySpec, Graph, assemblies, block_sequences,
                          build_family, canonical_labelling, forcing)
-from zeroforcing.graphs import _mask_vertices, distance_profiles
+from zeroforcing.graphs import (_find, _mask_vertices, _union,
+                                distance_profiles)
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,6 +133,114 @@ def naive_refine(nbrs, colors):
         if new == colors:
             return colors
         colors = new
+
+
+# The labelling search as it stood before its per-node shortcuts (singleton
+# keys, the early return on a discrete coloring, the compare-and-swap leaf
+# key), kept verbatim as the oracle that the certificates, orders and
+# automorphisms must still equal.
+
+def _reference_refine(nbrs, colors):
+    """Iterated neighborhood refinement with canonical color ids; nbrs[v]
+    lists v's neighbours, and colors holds the dense ids 0..k-1.  A key
+    leads with its vertex's color, so the ids stay dense and ordered, and
+    the coloring is stable once no class splits into two keys."""
+    classes = max(colors) + 1
+    while True:
+        keys = [(c, *sorted(map(colors.__getitem__, vs)))
+                for c, vs in zip(colors, nbrs)]
+        distinct = sorted(set(keys))
+        if len(distinct) == classes:
+            return colors
+        remap = {k: i for i, k in enumerate(distinct)}
+        colors = [remap[k] for k in keys]
+        classes = len(distinct)
+
+
+def reference_labelling(g: Graph, profiles=None) -> tuple:
+    """(certificate, order, automorphisms): equal certificates iff the graphs
+    are isomorphic; order[i] is the vertex at canonical position i.
+
+    Individualization-refinement: each node individualizes one vertex of the
+    first non-singleton color class and refines, down to discrete colorings.
+    The root coloring ranks the `distance_profiles` (the first count is the
+    degree): ranking the sorted set of profiles gives isomorphic graphs the
+    same colors on corresponding vertices.  On a regular graph this splits
+    the root where degrees alone would not.  A caller that already has g's
+    own `distance_profiles` passes them as `profiles`; if None, they are
+    computed here.
+    The certificate is (n, least adjacency bitstring over those leaves), and
+    `order` comes from the first leaf that gives it.  First-path automorphism
+    pruning (McKay & Piperno, Practical graph isomorphism II, 2014): a leaf
+    equal to the first leaf gives an automorphism, and the search unwinds to
+    their common prefix; a first-path node tries one child per orbit of the
+    automorphisms found so far, which all fix its prefix.  Skipped leaves
+    repeat keys already seen, so the least key is still found.  Each
+    automorphism is a tuple p with p[v] the image of v, and together they
+    generate Aut(g), found at no extra search cost.
+    """
+    n = g.n
+    if n == 0:
+        return (0, 0), (), ()
+    # a leaf's key holds the adjacency of positions (i, j), j < i, row by row
+    # from its top bit, (1, 0), down to bit 0, (n-1, n-2)
+    top = n * (n - 1) // 2 - 1
+    nbrs = [tuple(_mask_vertices(b)) for b in g.bits]
+    path = []           # vertices individualized on the way to the current node
+    first = None        # (key, path, colors) of the first leaf
+    best = None         # (key, order) of the first leaf with the least key
+    automorphisms = []
+    orbit = list(range(n))    # union-find over the automorphisms found so far
+
+    def rec(colors, on_first_path):
+        """Search below the node; returns the depth the search resumes at."""
+        nonlocal first, best
+        depth = len(path)
+        cells = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        split = [c for c in sorted(cells) if len(cells[c]) > 1]
+        if not split:       # discrete: colors[v] is v's position
+            key = 0
+            for u, w in g.edges:
+                i, j = sorted((colors[u], colors[w]))
+                key |= 1 << (top - j * (j - 1) // 2 - i)
+            order = sorted(range(n), key=colors.__getitem__)
+            if best is None or key < best[0]:
+                best = (key, order)
+            if first is None:
+                first = (key, tuple(path), colors)
+            elif key == first[0]:
+                # the vertex at each position of the first leaf goes to the
+                # vertex at the same position here
+                image = tuple([order[i] for i in first[2]])
+                automorphisms.append(image)
+                for u, w in enumerate(image):
+                    _union(orbit, u, w)
+                return next(i for i, (u, w) in enumerate(zip(path, first[1])) if u != w)
+            return depth
+        explored = []
+        for v in cells[split[0]]:
+            # while a first-path node is open, every automorphism found so
+            # far diverged below it, so each one fixes the node's prefix
+            if on_first_path and (_find(orbit, v)
+                                  in {_find(orbit, u) for u in explored}):
+                continue
+            nc = [c + 1 if c >= colors[v] else c for c in colors]
+            nc[v] = colors[v]
+            path.append(v)
+            resume = rec(_reference_refine(nbrs, nc), on_first_path and not explored)
+            path.pop()
+            if resume < depth:
+                return resume
+            explored.append(v)
+        return depth
+
+    if profiles is None:
+        profiles = distance_profiles(g)
+    rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
+    rec(_reference_refine(nbrs, [rank[p] for p in profiles]), True)
+    return (n, best[0]), tuple(best[1]), tuple(automorphisms)
 
 
 def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
