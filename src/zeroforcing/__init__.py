@@ -8,9 +8,8 @@ from .families import (FamilySpec, assemblies, block_sequences, build_family,
 from .forcing import (DerivedColoring, ZeroForcingResult, closure,
                       is_zero_forcing_set, zero_forcing_number)
 from .graph6 import Graph6Error, parse_graph6, write_graph6
-from .graphs import (Graph, canonical_certificate, canonical_labelling,
-                     complete_bipartite, complete_graph, cycle_graph,
-                     edge_connectivity, path_graph)
+from .graphs import (Graph, canonical_labelling, complete_bipartite,
+                     complete_graph, cycle_graph, edge_connectivity, path_graph)
 from .recognition import RecognitionResult, recognize_z3
 from .spanning import DegreeCensus, SpanningTree, degree_census, spanning_tree
 from .spectral import (BoundsReport, EigenCluster, MinorModel, SpectralReport,

@@ -13,9 +13,9 @@ the replaced edges and integers name the new vertices.
 No single move is complete on its own, so completeness is enforced the other
 way around: members are deduplicated by canonical certificate, which makes
 them pairwise non-isomorphic, and the census is checked against the known
-counts of connected cubic graphs (1, 2, 5, 19, 85, 509, ... for orders
-4, 6, 8, ...).  A count mismatch raises instead of returning a silent
-undercount.
+counts of connected cubic graphs (OEIS A002851: 1, 2, 5, 19, 85, 509, ...
+for orders 4, 6, 8, ..., through order 20).  A count mismatch raises instead
+of returning a silent undercount.
 
 A pick is the set of parent edges one child replaces.  Picks are pruned by
 the parent's automorphisms (the orbit pruning of Brinkmann, Goedgebeur &
@@ -46,9 +46,10 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .graphs import Graph, _find, _union, canonical_labelling
+from .graphs import Graph, _find, _union, canonical_labelling, complete_graph
 
-CONNECTED_CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060}
+CONNECTED_CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060,
+                          18: 41301, 20: 510489}
 
 # (new vertices, edges replaced, gadget edges), in the order children are made
 MOVES = (
@@ -92,13 +93,13 @@ def _census(order: int) -> tuple:
     if order < 4 or order % 2:
         return ()
     if order == 4:
-        k4 = Graph(4, itertools.combinations(range(4), 2))
-        return ((k4, canonical_labelling(k4)[2]),)
+        k4 = complete_graph(4)
+        return ((k4, canonical_labelling(k4)[1]),)
     seen = {}
     for new, picks, gadget in MOVES:
         for parent, automorphisms in _census(order - new):
             for child in _children(parent, automorphisms, new, picks, gadget):
-                cert, _, found = canonical_labelling(child)
+                cert, found = canonical_labelling(child)
                 seen.setdefault(cert, (child, found))
     members = tuple(seen[c] for c in sorted(seen))
     expected = CONNECTED_CUBIC_COUNTS.get(order)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, canonical_certificate
+from .graphs import Graph, canonical_labelling
 
 
 def _ladder_edges(rungs: int) -> list:
@@ -138,7 +138,7 @@ def _one_per_class(pairs) -> tuple:
     """The first (spec, graph) pair of each isomorphism class, in order."""
     first = {}
     for spec, g in pairs:
-        first.setdefault(canonical_certificate(g), (spec, g))
+        first.setdefault(canonical_labelling(g)[0], (spec, g))
     return tuple(first.values())
 
 

@@ -195,7 +195,7 @@ def edge_connectivity(g: Graph) -> int:
     return best
 
 
-# --- canonical labelling: certificates, and orders that map one graph onto another ---
+# --- canonical labelling: certificates and automorphisms ---
 
 def _refine(nbrs, colors):
     """Iterated neighborhood refinement with canonical color ids; nbrs[v]
@@ -266,43 +266,41 @@ def _union(parent, x, y):
     parent[max(rx, ry)] = min(rx, ry)
 
 
-def canonical_labelling(g: Graph, profiles=None) -> tuple:
-    """(certificate, order, automorphisms): equal certificates iff the graphs
-    are isomorphic; order[i] is the vertex at canonical position i.
+def canonical_labelling(g: Graph) -> tuple:
+    """(certificate, automorphisms): equal certificates iff the graphs are
+    isomorphic.
 
     Individualization-refinement: each node individualizes one vertex of the
     first non-singleton color class and refines, down to discrete colorings.
     The root coloring ranks the `distance_profiles` (the first count is the
     degree): ranking the sorted set of profiles gives isomorphic graphs the
     same colors on corresponding vertices.  On a regular graph this splits
-    the root where degrees alone would not.  A caller that already has g's
-    own `distance_profiles` passes them as `profiles`; if None, they are
-    computed here.
-    The certificate is (n, least adjacency bitstring over those leaves), and
-    `order` comes from the first leaf that gives it.  First-path automorphism
-    pruning (McKay & Piperno, Practical graph isomorphism II, 2014): a leaf
-    equal to the first leaf gives an automorphism, and the search unwinds to
-    their common prefix; a first-path node tries one child per orbit of the
-    automorphisms found so far, which all fix its prefix.  Skipped leaves
-    repeat keys already seen, so the least key is still found.  Each
-    automorphism is a tuple p with p[v] the image of v, and together they
-    generate Aut(g), found at no extra search cost.
+    the root where degrees alone would not.
+    The certificate is (n, least adjacency bitstring over those leaves).
+    First-path automorphism pruning (McKay & Piperno, Practical graph
+    isomorphism II, 2014): a leaf equal to the first leaf gives an
+    automorphism, and the search unwinds to their common prefix; a
+    first-path node tries one child per orbit of the automorphisms found so
+    far, which all fix its prefix.  Skipped leaves repeat keys already seen,
+    so the least key is still found.  Each automorphism is a tuple p with
+    p[v] the image of v, and together they generate Aut(g), found at no
+    extra search cost.
     The per-node shortcuts keep every id: `_refine` keys a singleton by its
     color alone and returns a discrete coloring at once (see there).  The
-    ids are dense, so a node with n colors is a leaf, whose `order` is the
-    inverse of its coloring; any other node's target is the first cell, by
+    ids are dense, so a node with n colors is a leaf, whose coloring gives
+    each vertex its position; any other node's target is the first cell, by
     color, with two or more vertices.
     """
     n = g.n
     if n == 0:
-        return (0, 0), (), ()
+        return (0, 0), ()
     # a leaf's key holds the adjacency of positions (i, j), j < i, row by row
     # from its top bit, (1, 0), down to bit 0, (n-1, n-2)
     top = n * (n - 1) // 2 - 1
     nbrs = [tuple(_mask_vertices(b)) for b in g.bits]
     path = []           # vertices individualized on the way to the current node
     first = None        # (key, path, colors) of the first leaf
-    best = None         # (key, order) of the first leaf with the least key
+    best = None         # the least leaf key
     automorphisms = []
     orbit = list(range(n))    # union-find over the automorphisms found so far
 
@@ -318,17 +316,17 @@ def canonical_labelling(g: Graph, profiles=None) -> tuple:
                 if i > j:
                     i, j = j, i
                 key |= 1 << (top - j * (j - 1) // 2 - i)
-            order = [0] * n
-            for v, c in enumerate(colors):
-                order[c] = v
-            if best is None or key < best[0]:
-                best = (key, order)
+            if best is None or key < best:
+                best = key
             if first is None:
                 first = (key, tuple(path), colors)
             elif key == first[0]:
                 # the vertex at each position of the first leaf goes to the
                 # vertex at the same position here
-                image = tuple([order[i] for i in first[2]])
+                at = [0] * n
+                for v, c in enumerate(colors):
+                    at[c] = v
+                image = tuple([at[c] for c in first[2]])
                 automorphisms.append(image)
                 for u, w in enumerate(image):
                     _union(orbit, u, w)
@@ -354,13 +352,7 @@ def canonical_labelling(g: Graph, profiles=None) -> tuple:
             explored.append(v)
         return depth
 
-    if profiles is None:
-        profiles = distance_profiles(g)
+    profiles = distance_profiles(g)
     rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
     rec(_refine(nbrs, [rank[p] for p in profiles]), True)
-    return (n, best[0]), tuple(best[1]), tuple(automorphisms)
-
-
-def canonical_certificate(g: Graph) -> tuple:
-    """Canonical form: two graphs have equal certificates iff they are isomorphic."""
-    return canonical_labelling(g)[0]
+    return (n, best), tuple(automorphisms)

@@ -8,7 +8,7 @@ import pytest
 
 from util import naive_closure, neighbor_sets
 from zeroforcing import (FamilySpec, Graph, block_sequences, build_family,
-                         canonical_certificate, complete_graph, counterexample16,
+                         canonical_labelling, complete_graph, counterexample16,
                          edge_connectivity, family_members, heawood_graph,
                          is_zero_forcing_set, ladder_m, ladder_t, necklace,
                          permutation_prism, twin_classes, zero_forcing_number)
@@ -23,7 +23,7 @@ TRIANGULAR_PRISM = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
 
 
 def isomorphic(g, h) -> bool:
-    return canonical_certificate(g) == canonical_certificate(h)
+    return canonical_labelling(g)[0] == canonical_labelling(h)[0]
 
 
 def assert_cubic_connected(g):
@@ -222,7 +222,7 @@ class TestEnumerateFamily:
             for g in members:
                 assert_cubic_connected(g)
                 assert g.n == order
-            assert len({canonical_certificate(g) for g in members}) == len(members)
+            assert len({canonical_labelling(g)[0] for g in members}) == len(members)
 
     def test_members_have_good_edge_connectivity(self):
         for order in (4, 6, 8, 10, 12):

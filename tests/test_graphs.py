@@ -11,13 +11,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import load_catalog
-from util import (atlas_graphs, brute_force_isomorphic, canonical_mapping,
-                  mapping_is_valid, naive_refine, neighbor_sets, permuted_copy,
-                  random_connected_graph, random_graph, reference_labelling)
-from zeroforcing import (Graph, canonical_certificate, canonical_labelling,
-                         complete_bipartite, complete_graph, cycle_graph,
-                         edge_connectivity, heawood_graph, necklace,
-                         parse_graph6, path_graph, permutation_prism)
+from util import (atlas_graphs, brute_force_isomorphic, naive_refine,
+                  neighbor_sets, permuted_copy, random_connected_graph,
+                  random_graph, reference_labelling)
+from zeroforcing import (Graph, canonical_labelling, complete_bipartite,
+                         complete_graph, cycle_graph, edge_connectivity,
+                         heawood_graph, necklace, parse_graph6, path_graph,
+                         permutation_prism)
 from zeroforcing.families import assemblies, block_sequences
 from zeroforcing.graphs import _max_flow_unit, _refine, distance_profiles
 
@@ -240,27 +240,35 @@ class TestEdgeConnectivity:
 
 
 class TestIsomorphism:
-    """Maps built from two canonical labellings, as recognition builds them."""
+    """Equal certificates exactly for isomorphic pairs, by brute force or
+    networkx."""
 
     def test_k4_relabeled(self):
         g = complete_graph(4)
         h = Graph(4, [(3, 2), (3, 1), (3, 0), (2, 1), (2, 0), (1, 0)])
-        assert mapping_is_valid(g, h, canonical_mapping(g, h))
+        assert brute_force_isomorphic(g, h)
+        assert canonical_labelling(g)[0] == canonical_labelling(h)[0]
 
     def test_cycle_vs_two_triangles(self):
+        g = cycle_graph(6)
         h = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        assert canonical_mapping(cycle_graph(6), h) is None
+        assert not brute_force_isomorphic(g, h)
+        assert canonical_labelling(g)[0] != canonical_labelling(h)[0]
 
     def test_prism_vs_k33(self):
         prism = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                           (0, 3), (1, 4), (2, 5)])
-        assert canonical_mapping(prism, complete_bipartite(3, 3)) is None
+        k33 = complete_bipartite(3, 3)
+        assert not brute_force_isomorphic(prism, k33)
+        assert canonical_labelling(prism)[0] != canonical_labelling(k33)[0]
 
     def test_reflexive(self):
+        # a relabelled copy is isomorphic by construction
         rng = random.Random(1)
         for _ in range(200):
             g = random_graph(rng, rng.randint(1, 9))
-            assert mapping_is_valid(g, g, canonical_mapping(g, g))
+            assert canonical_labelling(permuted_copy(rng, g))[0] == \
+                canonical_labelling(g)[0]
 
     def test_symmetric(self):
         rng = random.Random(2)
@@ -268,12 +276,8 @@ class TestIsomorphism:
             g = random_graph(rng, rng.randint(1, 8))
             h = permuted_copy(rng, g) if rng.random() < 0.7 else \
                 random_graph(rng, g.n)
-            forward = canonical_mapping(g, h)
-            backward = canonical_mapping(h, g)
-            assert (forward is None) == (backward is None)
-            if forward is not None:
-                assert mapping_is_valid(g, h, forward)
-                assert mapping_is_valid(h, g, backward)
+            same = canonical_labelling(h)[0] == canonical_labelling(g)[0]
+            assert same == networkx.is_isomorphic(to_networkx(h), to_networkx(g))
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(3)
@@ -282,14 +286,14 @@ class TestIsomorphism:
             g = random_graph(rng, n)
             h = permuted_copy(rng, g) if rng.random() < 0.5 else \
                 random_graph(rng, n)
-            mapping = canonical_mapping(g, h)
-            assert (mapping is not None) == brute_force_isomorphic(g, h)
-            assert mapping is None or mapping_is_valid(g, h, mapping)
+            same = canonical_labelling(g)[0] == canonical_labelling(h)[0]
+            assert same == brute_force_isomorphic(g, h)
 
     def test_deterministic(self):
         g = complete_bipartite(2, 3)
         h = permuted_copy(random.Random(4), g)
-        assert canonical_mapping(g, h) == canonical_mapping(g, h)
+        assert canonical_labelling(h) == canonical_labelling(h)
+        assert canonical_labelling(h)[0] == canonical_labelling(g)[0]
 
 
 class TestDistanceProfiles:
@@ -366,13 +370,14 @@ class TestRefine:
 
 
 class TestReferenceLabelling:
-    """`canonical_labelling` returns the same (certificate, order,
-    automorphisms) as the search before its per-node shortcuts
-    (`reference_labelling`), so no catalog, family or mapping moves."""
+    """`canonical_labelling` returns the same (certificate, automorphisms)
+    as the search before its per-node shortcuts (`reference_labelling`), so
+    no catalog or family moves."""
 
     @staticmethod
     def assert_same(g):
-        assert canonical_labelling(g) == reference_labelling(g)
+        cert, order, automorphisms = reference_labelling(g)
+        assert canonical_labelling(g) == (cert, automorphisms)
 
     def test_atlas_graphs(self):
         inputs = [g for n in range(8) for g in atlas_graphs(n)]
@@ -399,8 +404,7 @@ class TestReferenceLabelling:
 
 class TestCanonicalCertificate:
     def test_empty_graph(self):
-        assert canonical_labelling(Graph(0)) == ((0, 0), (), ())
-        assert canonical_certificate(Graph(0)) == (0, 0)
+        assert canonical_labelling(Graph(0)) == ((0, 0), ())
 
     def test_matches_isomorphism(self):
         rng = random.Random(5)
@@ -409,7 +413,7 @@ class TestCanonicalCertificate:
             g = random_graph(rng, n)
             h = permuted_copy(rng, g) if rng.random() < 0.5 else \
                 random_graph(rng, n)
-            same = canonical_certificate(g) == canonical_certificate(h)
+            same = canonical_labelling(g)[0] == canonical_labelling(h)[0]
             assert same == networkx.is_isomorphic(to_networkx(g), to_networkx(h))
 
     def test_invariant_under_relabeling(self):
@@ -418,13 +422,12 @@ class TestCanonicalCertificate:
         rng = random.Random(6)
         g = random_graph(rng, 9)
         for _ in range(20):
-            assert canonical_certificate(permuted_copy(rng, g)) == \
-                canonical_certificate(g)
+            assert canonical_labelling(permuted_copy(rng, g))[0] == \
+                canonical_labelling(g)[0]
         for g in (complete_graph(8), complete_bipartite(4, 4), heawood_graph(),
                   necklace(4), permutation_prism(8), Graph(9)):
             h = permuted_copy(rng, g)
-            assert canonical_certificate(h) == canonical_certificate(g)
-            assert mapping_is_valid(g, h, canonical_mapping(g, h))
+            assert canonical_labelling(h)[0] == canonical_labelling(g)[0]
 
     def test_cubic_fixtures_invariant_under_relabeling(self):
         # the root coloring is ranked distance profiles, which differ between
@@ -434,11 +437,7 @@ class TestCanonicalCertificate:
         assert len(fixtures) == 621
         for g in fixtures:
             h = permuted_copy(rng, g)
-            assert canonical_certificate(h) == canonical_certificate(g)
-            assert mapping_is_valid(g, h, canonical_mapping(g, h))
-            if g.n <= 12:
-                assert canonical_labelling(g, distance_profiles(g)) == \
-                    canonical_labelling(g)
+            assert canonical_labelling(h)[0] == canonical_labelling(g)[0]
 
     def test_uniform_distance_profiles(self):
         # every vertex has the same profile, so the seed splits nothing and
@@ -466,10 +465,9 @@ class TestCanonicalCertificate:
         inputs = connected + disconnected
         for g in inputs:
             h = permuted_copy(rng, g)
-            assert canonical_certificate(h) == canonical_certificate(g)
-            assert mapping_is_valid(g, h, canonical_mapping(g, h))
+            assert canonical_labelling(h)[0] == canonical_labelling(g)[0]
         for g, h in itertools.combinations(inputs, 2):
-            same = canonical_certificate(g) == canonical_certificate(h)
+            same = canonical_labelling(g)[0] == canonical_labelling(h)[0]
             assert same == networkx.is_isomorphic(to_networkx(g), to_networkx(h))
 
     def test_atlas_graphs(self):
@@ -479,12 +477,8 @@ class TestCanonicalCertificate:
         for host in networkx.graph_atlas_g()[1:]:
             g = Graph(host.number_of_nodes(), list(host.edges()))
             h = permuted_copy(rng, g)
-            cert = canonical_certificate(g)
-            assert canonical_certificate(h) == cert
-            assert mapping_is_valid(g, h, canonical_mapping(g, h))
-            # profiles passed in give the labelling computed without them
-            assert canonical_labelling(g, distance_profiles(g)) == \
-                canonical_labelling(g)
+            cert = canonical_labelling(g)[0]
+            assert canonical_labelling(h)[0] == cert
             certs.add(cert)
         assert len(certs) == 1252
 
@@ -494,7 +488,7 @@ class TestAutomorphisms:
 
     @staticmethod
     def automorphisms(g):
-        return canonical_labelling(g)[2]
+        return canonical_labelling(g)[1]
 
     @staticmethod
     def orbits(n, perms):

@@ -1,12 +1,15 @@
 """The README's library tour and CLI pipes run as written against the package."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from test_cli import run_cli
+from test_cli import SRC, run_cli
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -40,3 +43,15 @@ def test_cli_pipe_runs(pipe):
         code, out, err = run_cli(shlex.split(stage)[1:], stdin=out)
         assert code == 0, (stage, err)
     assert PIPES[pipe] in out
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # the install line names numpy alone, so a fresh interpreter that imports
+    # the package and its CLI loads none of the test and oracle libraries
+    test_only = ("networkx", "sympy", "hypothesis", "scipy", "pytest")
+    code = ("import sys, zeroforcing, zeroforcing.cli; "
+            f"print(*[m for m in {test_only!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"

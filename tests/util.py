@@ -137,8 +137,8 @@ def naive_refine(nbrs, colors):
 
 # The labelling search as it stood before its per-node shortcuts (singleton
 # keys, the early return on a discrete coloring, the compare-and-swap leaf
-# key), kept verbatim as the oracle that the certificates, orders and
-# automorphisms must still equal.
+# key), kept verbatim as the oracle that the certificates and automorphisms
+# must still equal; its canonical order goes unread.
 
 def _reference_refine(nbrs, colors):
     """Iterated neighborhood refinement with canonical color ids; nbrs[v]
@@ -254,17 +254,6 @@ def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
-def canonical_mapping(g: Graph, h: Graph):
-    """Vertex map g -> h from two canonical labellings, or None when the
-    certificates differ: g's vertex at each canonical position goes to h's
-    vertex at the same position (the map `recognize_z3` builds)."""
-    cert_g, order_g, _ = canonical_labelling(g)
-    cert_h, order_h, _ = canonical_labelling(h)
-    if cert_g != cert_h:
-        return None
-    return tuple(w for _, w in sorted(zip(order_g, order_h)))
-
-
 @functools.lru_cache(maxsize=None)
 def _assembly_index(order: int) -> dict:
     """Sorted distance-profile multiset -> [[spec, certificate or None]] for
@@ -275,7 +264,7 @@ def _assembly_index(order: int) -> dict:
         profiles = distance_profiles(g)
         bucket = index.setdefault(tuple(sorted(profiles)), [])
         bucket.append([spec, None if bucket
-                       else canonical_labelling(g, profiles)[0]])
+                       else canonical_labelling(g)[0]])
     return index
 
 
@@ -284,7 +273,7 @@ def index_spec(g: Graph):
     isomorphic to g, looked up by canonical certificate among the assemblies
     whose distance-profile multiset matches g's, or None."""
     profiles = distance_profiles(g)
-    cert = canonical_labelling(g, profiles)[0]
+    cert = canonical_labelling(g)[0]
     for entry in _assembly_index(g.n).get(tuple(sorted(profiles)), ()):
         if entry[1] is None:
             entry[1] = canonical_labelling(build_family(entry[0]))[0]
