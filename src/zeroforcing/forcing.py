@@ -86,11 +86,6 @@ def closure(g: Graph, initial) -> DerivedColoring:
     return DerivedColoring(black=frozenset(_mask_vertices(black)), trace=tuple(trace))
 
 
-def is_zero_forcing_set(g: Graph, vertices) -> bool:
-    full = (1 << g.n) - 1
-    return _close_mask(g.bits, _vertex_mask(g, vertices), full) == full
-
-
 def _wavefront(bits, full: int, cap: int):
     """(Z, bought mask) for the least cost path of steps from the empty set to
     the full set, or None if its cost exceeds cap.  A step at v buys v, if

@@ -108,11 +108,7 @@ def _layers(bits, start: int):
         seen |= frontier
 
 
-# --- standard constructions used throughout the tests ---
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
+# --- standard constructions ---
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
@@ -122,10 +118,6 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, itertools.combinations(range(n), 2))
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 # --- edge connectivity by unit-capacity max-flow ---

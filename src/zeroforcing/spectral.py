@@ -7,7 +7,6 @@ multiplicity bound refuses one whose residuals exceed 1e-8.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,24 +18,20 @@ CLUSTER_GAP = 1e-6
 
 
 @dataclass(frozen=True)
-class EigenCluster:
-    value: float          # mean of the grouped eigenvalues
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class SpectralReport:
     eigenvalues: tuple    # ascending
-    clusters: tuple       # EigenCluster, ascending by value
     residual: float       # max |Q diag(w) Q^T - A|
     orthogonality: float  # max |Q^T Q - I|
 
     def max_multiplicity(self) -> int:
-        return max(c.multiplicity for c in self.clusters)
-
-    def multiplicity_near(self, value: float) -> int:
-        """Total multiplicity of eigenvalues within CLUSTER_GAP of `value`."""
-        return sum(1 for ev in self.eigenvalues if abs(ev - value) <= CLUSTER_GAP)
+        """Length of the longest run of eigenvalues whose neighbours differ by
+        at most CLUSTER_GAP (single linkage); 0 for an empty spectrum."""
+        values = self.eigenvalues
+        best = run = 1 if values else 0
+        for a, b in zip(values, values[1:]):
+            run = run + 1 if b - a <= CLUSTER_GAP else 1
+            best = max(best, run)
+        return best
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -50,8 +45,7 @@ def eigen_decomposition(matrix: np.ndarray) -> SpectralReport:
     """Full spectrum of a real symmetric matrix, ascending, by `numpy.linalg.eigh`.
 
     `eigh` reads one triangle only, so the input is checked for finite
-    entries and symmetry first.  Eigenvalues within CLUSTER_GAP of each
-    other (single linkage) are reported as one cluster.
+    entries and symmetry first.
     """
     a0 = np.asarray(matrix, dtype=float)
     if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
@@ -64,18 +58,8 @@ def eigen_decomposition(matrix: np.ndarray) -> SpectralReport:
     values, q = np.linalg.eigh(a0)
     residual = float(np.abs(q @ np.diag(values) @ q.T - a0).max()) if n else 0.0
     orthogonality = float(np.abs(q.T @ q - np.eye(n)).max()) if n else 0.0
-
-    eigenvalues = values.tolist()     # Python floats: cheaper to loop over
-    clusters = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or eigenvalues[i] - eigenvalues[i - 1] > CLUSTER_GAP:
-            group = eigenvalues[start:i]
-            clusters.append(EigenCluster(math.fsum(group) / len(group), len(group)))
-            start = i
-    return SpectralReport(eigenvalues=tuple(eigenvalues),
-                          clusters=tuple(clusters),
-                          residual=residual,
+    # Python floats: cheaper to loop over
+    return SpectralReport(eigenvalues=tuple(values.tolist()), residual=residual,
                           orthogonality=orthogonality)
 
 
@@ -97,18 +81,11 @@ def max_multiplicity_bound(g: Graph) -> int:
     return report.max_multiplicity()
 
 
-def twin_classes(g: Graph) -> tuple:
-    """Maximal classes of vertices with identical open neighborhoods."""
-    groups = {}
-    for v in range(g.n):
-        groups.setdefault(g.bits[v], []).append(v)
-    return tuple(tuple(vs) for vs in groups.values() if len(vs) > 1)
-
-
 def twin_bound(g: Graph) -> int:
-    """Sum of (class size - 1) over twin classes; equal adjacency rows make
-    this a lower bound on the maximum nullity."""
-    return sum(len(c) - 1 for c in twin_classes(g))
+    """Sum of (class size - 1) over the classes of vertices with equal open
+    neighborhoods, which is n minus the number of distinct neighborhoods;
+    equal adjacency rows make this a lower bound on the maximum nullity."""
+    return g.n - len(set(g.bits))
 
 
 @dataclass(frozen=True)
@@ -178,7 +155,8 @@ def bounds_report(g: Graph, models=(), budget: int | None = None) -> BoundsRepor
     """Best maximum-nullity sandwich for a connected graph.
 
     `models` are complete-minor models; each must verify, and a verified
-    model of target k contributes the lower bound k - 1.
+    model of target k contributes the lower bound k - 1.  L <= M <= Z, so
+    `upper_floor` is at least L.
     """
     if not g.is_connected():
         raise ValueError("bounds are reported for connected graphs")
@@ -190,10 +168,18 @@ def bounds_report(g: Graph, models=(), budget: int | None = None) -> BoundsRepor
         if problem:
             raise ValueError(f"invalid minor model: {problem}")
         sources.append(("minor", model.target - 1))
+    lower = max(value for _, value in sources)
+    if budget is not None and lower > budget:
+        # Z >= M >= L > budget: no witness fits, so skip the search.  The
+        # solver's floor would be budget + 1 <= L, or the least degree, a
+        # floor on Z it proves without a search
+        floor = max(lower, min(map(g.degree, range(g.n))))
+        return BoundsReport(lower_bounds=tuple(sources), upper=None,
+                            upper_floor=floor, witness=None)
     result = zero_forcing_number(g, budget=budget)
-    report = BoundsReport(lower_bounds=tuple(sources), upper=result.z,
-                          upper_floor=result.lower_bound, witness=result.witness)
-    if result.exact and report.lower > result.z:
-        raise AssertionError(f"lower bound {report.lower} exceeds zero forcing "
+    if result.exact and lower > result.z:
+        raise AssertionError(f"lower bound {lower} exceeds zero forcing "
                              f"number {result.z}; one of them is wrong")
-    return report
+    return BoundsReport(lower_bounds=tuple(sources), upper=result.z,
+                        upper_floor=max(result.lower_bound, lower),
+                        witness=result.witness)

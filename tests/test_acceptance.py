@@ -12,14 +12,15 @@ import random
 import time
 
 from conftest import load_catalog
-from util import atlas_graphs, naive_closure, random_cubic_connected
+from util import (atlas_graphs, is_zero_forcing_set, naive_closure,
+                  naive_eigen_clusters, random_cubic_connected)
 from zeroforcing import (MinorModel, adjacency_matrix, bounds_report,
                          complete_graph, counterexample16, degree_census,
                          edge_connectivity, eigen_decomposition, family_members,
-                         heawood_graph, is_zero_forcing_set,
-                         minor_model_violation, necklace, permutation_prism,
-                         recognize_z3, spanning_tree, twin_bound, write_graph6,
-                         zero_forcing_number)
+                         heawood_graph, minor_model_violation, necklace,
+                         permutation_prism, recognize_z3, spanning_tree,
+                         twin_bound, write_graph6, zero_forcing_number)
+from zeroforcing.spectral import CLUSTER_GAP
 
 class Criterion:
     """Times a criterion and prints its PASS/FAIL line."""
@@ -59,11 +60,11 @@ def test_criterion_2_heawood():
         result = zero_forcing_number(g)     # exhausts every size below 6
         assert result.z == 6
         spectrum = eigen_decomposition(adjacency_matrix(g))
-        got = [(c.value, c.multiplicity) for c in spectrum.clusters]
-        expected = [(-3.0, 1), (-math.sqrt(2), 6), (math.sqrt(2), 6), (3.0, 1)]
-        assert len(got) == len(expected)
-        for (value, mult), (evalue, emult) in zip(got, expected):
-            assert mult == emult and abs(value - evalue) <= 1e-6
+        expected = [-3.0] + [-math.sqrt(2)] * 6 + [math.sqrt(2)] * 6 + [3.0]
+        assert len(spectrum.eigenvalues) == len(expected)
+        for value, evalue in zip(spectrum.eigenvalues, expected):
+            assert abs(value - evalue) <= 1e-6
+        assert spectrum.max_multiplicity() == 6
         assert bounds_report(g).m == 6
 
 
@@ -125,7 +126,7 @@ def test_criterion_6_necklace():
         result = zero_forcing_number(g)
         assert result.z == 8 == g.n // 3 + 2
         spectrum = eigen_decomposition(adjacency_matrix(g))
-        assert spectrum.multiplicity_near(0.0) >= 8
+        assert sum(abs(ev) <= CLUSTER_GAP for ev in spectrum.eigenvalues) >= 8
         assert twin_bound(g) == 6
         assert bounds_report(g).m == 8
 
@@ -198,7 +199,10 @@ def test_criterion_9_spectral_residuals_and_shift():
         for _ in range(50):
             g = random_graph(pyrng, pyrng.randint(2, 12))
             a = adjacency_matrix(g)
-            report = eigen_decomposition(a)
-            for cluster in report.clusters:
-                shifted = eigen_decomposition(a - cluster.value * np.eye(g.n))
-                assert shifted.multiplicity_near(0.0) == cluster.multiplicity
+            _, clusters = naive_eigen_clusters(a, CLUSTER_GAP)
+            assert eigen_decomposition(a).max_multiplicity() == \
+                max(k for _, k in clusters)
+            for mean, k in clusters:
+                shifted = eigen_decomposition(a - mean * np.eye(g.n))
+                assert sum(abs(ev) <= CLUSTER_GAP
+                           for ev in shifted.eigenvalues) == k

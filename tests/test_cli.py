@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import zeroforcing
-from util import naive_closure, permuted_copy, random_family_spec
+from util import naive_closure, path_graph, permuted_copy, random_family_spec
 from zeroforcing import (build_family, canonical_labelling, cycle_graph,
                          distinct_assemblies, family_members, heawood_graph,
-                         necklace, parse_graph6, path_graph, permutation_prism,
+                         necklace, parse_graph6, permutation_prism,
                          recognize_z3, write_graph6, zero_forcing_number)
 from zeroforcing.cli import main
 
@@ -21,11 +21,12 @@ from zeroforcing.cli import main
 SRC = str(Path(zeroforcing.__file__).parents[1])
 
 
-def run_cli(args, stdin=""):
+def run_cli(args, stdin="", timeout=None):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "zeroforcing", *args],
                           input=stdin, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, "PYTHONPATH": path},
+                          timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -208,9 +209,20 @@ def test_bounds_record_bytes():
                    "graph6: IhdCHCPBG\nL: 1 [eigenvalue=1 twin=0]\nU: 4\n"
                    "witness: {0,1,2,4}\nverdict: M in [1,4]\n\n"
                    "graph6: M???BOsEcWGog_s??\nL: 6 [eigenvalue=6 twin=0]\n"
-                   "U: unknown (>= 5)\nwitness: -\nverdict: M in [6,?]\n")
+                   "U: unknown (>= 6)\nwitness: -\nverdict: M in [6,?]\n")
     assert run_cli(["gen", "prism", "5", "sigma=1,2"])[1] == "IhdCHCPBG\n"
     assert run_cli(["gen", "heawood"])[1] == "M???BOsEcWGog_s??\n"
+
+
+def test_bounds_budget_below_lower_skips_the_search():
+    # L = 42 > 12, so Z >= 42 without a search; the solver alone would try
+    # every set of up to 12 of the 120 vertices
+    g6 = run_cli(["gen", "necklace", "20"])[1]
+    code, out, err = run_cli(["bounds", "--budget", "12"], stdin=g6, timeout=30)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[1:] == ["L: 42 [eigenvalue=42 twin=40]", "U: unknown (>= 42)",
+                         "witness: -", "verdict: M in [42,?]"]
 
 
 def test_budget_exhaustion_exit_code(tmp_path):
@@ -276,7 +288,7 @@ def test_census_budget_reports_forcing_floor(tmp_path):
     code, out, _ = run_cli(["census", "--in", str(path), "--budget", "4"])
     assert code == 1                # exhausted budget is a computation error
     row = out.strip().split("\t")
-    assert row[4] == ">=5"
+    assert row[4] == ">=6"  # L = 6 raises the solver's floor of 5
     assert row[8] == "M in [6,?]"
 
 

@@ -6,12 +6,12 @@ from dataclasses import dataclass
 import networkx
 import pytest
 
-from util import naive_closure, neighbor_sets
+from util import is_zero_forcing_set, naive_closure, neighbor_sets
 from zeroforcing import (FamilySpec, Graph, block_sequences, build_family,
                          canonical_labelling, complete_graph, counterexample16,
                          edge_connectivity, family_members, heawood_graph,
-                         is_zero_forcing_set, ladder_m, ladder_t, necklace,
-                         permutation_prism, twin_classes, zero_forcing_number)
+                         ladder_m, ladder_t, necklace, permutation_prism,
+                         twin_bound, zero_forcing_number)
 
 # hand-drawn order-10 member: apex 0, ladder block 1..6, triangle 7..9
 KNOWN_MEMBER_10 = Graph(10, [(0, 1), (0, 2), (0, 6), (1, 3), (2, 1), (2, 4),
@@ -306,8 +306,12 @@ class TestNecklace:
     def test_two_twin_pairs_per_bead(self):
         # {p1, p2} and {p3, p4} of each bead, and no other equal neighborhoods
         for beads in range(2, 7):
-            classes = twin_classes(necklace(beads))
-            assert len(classes) == 2 * beads
+            g = necklace(beads)
+            groups = {}
+            for v, nbrs in enumerate(neighbor_sets(g)):
+                groups.setdefault(frozenset(nbrs), []).append(v)
+            classes = [tuple(vs) for vs in groups.values() if len(vs) > 1]
+            assert len(classes) == 2 * beads == twin_bound(g)
             assert all(len(c) == 2 for c in classes)
             bead_starts = range(0, 6 * beads, 6)
             assert set(classes) == {(o + 1, o + 2) for o in bead_starts} \

@@ -9,12 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import load_catalog
-from util import (naive_closure, naive_colex_least, naive_wavefront,
-                  neighbor_sets, random_graph)
+from util import (is_zero_forcing_set, naive_closure, naive_colex_least,
+                  naive_wavefront, neighbor_sets, path_graph, random_graph)
 from zeroforcing import (Graph, closure, complete_graph, connected_cubic_graphs,
                          cycle_graph, family_members, forcing, heawood_graph,
-                         is_zero_forcing_set, necklace, path_graph,
-                         zero_forcing_number)
+                         necklace, zero_forcing_number)
 
 # every graph with 1 to 7 vertices, up to isomorphism (1252 graphs)
 ATLAS = [Graph(h.number_of_nodes(), list(h.edges()))

@@ -6,9 +6,9 @@ import networkx
 import pytest
 
 from conftest import DATA_DIR
-from util import random_graph
+from util import path_graph, random_graph
 from zeroforcing import (Graph, Graph6Error, complete_graph, parse_graph6,
-                         path_graph, permutation_prism, write_graph6)
+                         permutation_prism, write_graph6)
 
 
 def reference_encode(g: Graph) -> str:

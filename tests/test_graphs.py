@@ -11,13 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import load_catalog
-from util import (atlas_graphs, brute_force_isomorphic, naive_refine,
-                  neighbor_sets, permuted_copy, random_connected_graph,
-                  random_graph, reference_labelling)
-from zeroforcing import (Graph, canonical_labelling, complete_bipartite,
-                         complete_graph, cycle_graph, edge_connectivity,
-                         heawood_graph, necklace, parse_graph6, path_graph,
-                         permutation_prism)
+from util import (atlas_graphs, brute_force_isomorphic, complete_bipartite,
+                  naive_refine, neighbor_sets, path_graph, permuted_copy,
+                  random_connected_graph, random_graph, reference_labelling)
+from zeroforcing import (Graph, canonical_labelling, complete_graph,
+                         cycle_graph, edge_connectivity, heawood_graph,
+                         necklace, parse_graph6, permutation_prism)
 from zeroforcing.families import assemblies, block_sequences
 from zeroforcing.graphs import _max_flow_unit, _refine, distance_profiles
 

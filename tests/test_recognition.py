@@ -6,12 +6,12 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import load_catalog
-from util import (index_spec, mapping_is_valid, permuted_copy,
-                  random_family_spec)
+from util import (complete_bipartite, index_spec, mapping_is_valid,
+                  permuted_copy, random_family_spec)
 from zeroforcing import (Graph, build_family, canonical_labelling,
-                         complete_bipartite, complete_graph, family_members,
-                         heawood_graph, permutation_prism, recognition,
-                         recognize_z3, zero_forcing_number)
+                         complete_graph, family_members, heawood_graph,
+                         permutation_prism, recognition, recognize_z3,
+                         zero_forcing_number)
 
 TRIANGULAR_PRISM = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                              (0, 3), (1, 4), (2, 5)])

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import load_catalog
 from util import (naive_closure, naive_spanning_tree, neighbor_sets,
-                  random_connected_graph, random_cubic_connected)
+                  path_graph, random_connected_graph, random_cubic_connected)
 from zeroforcing import (Graph, SpanningTree, canonical_labelling,
-                         cycle_graph, degree_census, path_graph, spanning_tree,
+                         cycle_graph, degree_census, spanning_tree,
                          write_graph6, zero_forcing_number)
 
 # worked host graph: root 0, two gadgets whose children have two parents each

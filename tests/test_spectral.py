@@ -10,15 +10,14 @@ import pytest
 import sympy
 
 from conftest import load_catalog
-from util import (atlas_graphs, naive_eigen_clusters, random_connected_graph,
-                  random_graph)
+from util import (atlas_graphs, complete_bipartite, naive_eigen_clusters,
+                  path_graph, random_connected_graph, random_graph)
 from zeroforcing import spectral
 from zeroforcing import (Graph, MinorModel, adjacency_matrix, bounds_report,
-                         complete_bipartite, complete_graph, cycle_graph,
-                         eigen_decomposition, heawood_graph,
-                         max_multiplicity_bound, minor_model_violation,
-                         necklace, path_graph, permutation_prism, twin_bound,
-                         twin_classes, zero_forcing_number)
+                         complete_graph, cycle_graph, eigen_decomposition,
+                         heawood_graph, max_multiplicity_bound,
+                         minor_model_violation, necklace, permutation_prism,
+                         twin_bound, zero_forcing_number)
 from zeroforcing.cli import main
 
 # a K5-minor model of permutation_prism(5, (1, 2)), checked by
@@ -38,8 +37,7 @@ class TestEigenDecomposition:
     def test_triangle_spectrum(self):
         report = eigen_decomposition(adjacency_matrix(complete_graph(3)))
         assert np.allclose(report.eigenvalues, [-1, -1, 2], atol=1e-10)
-        assert [(round(c.value), c.multiplicity) for c in report.clusters] == \
-            [(-1, 2), (2, 1)]
+        assert report.max_multiplicity() == 2
 
     def test_square_spectrum(self):
         report = eigen_decomposition(adjacency_matrix(cycle_graph(4)))
@@ -51,13 +49,26 @@ class TestEigenDecomposition:
         assert np.allclose(report.eigenvalues, expected, atol=1e-10)
 
     def test_heawood_clusters(self):
-        report = eigen_decomposition(adjacency_matrix(heawood_graph()))
-        got = [(c.value, c.multiplicity) for c in report.clusters]
+        a = adjacency_matrix(heawood_graph())
+        _, got = naive_eigen_clusters(a, spectral.CLUSTER_GAP)
         expected = [(-3, 1), (-math.sqrt(2), 6), (math.sqrt(2), 6), (3, 1)]
         assert len(got) == 4
         for (value, mult), (evalue, emult) in zip(got, expected):
             assert mult == emult
             assert abs(value - evalue) <= 1e-6
+        assert eigen_decomposition(a).max_multiplicity() == 6
+
+    def test_max_multiplicity_links_neighbours_within_the_gap(self):
+        # single linkage: a chain of gaps at most CLUSTER_GAP is one run, even
+        # when its ends are further apart; a larger gap splits it
+        gap = spectral.CLUSTER_GAP
+        chain = np.diag([0.0, 0.9 * gap, 1.8 * gap, 2.7 * gap, 5.0])
+        assert eigen_decomposition(chain).max_multiplicity() == 4
+        split = np.diag([0.0, 1.1 * gap, 2.2 * gap, 5.0])
+        assert eigen_decomposition(split).max_multiplicity() == 1
+
+    def test_empty_spectrum_has_multiplicity_zero(self):
+        assert eigen_decomposition(np.zeros((0, 0))).max_multiplicity() == 0
 
     def test_residuals_and_numpy_agreement(self):
         rng = np.random.default_rng(30)
@@ -94,16 +105,21 @@ class TestEigenDecomposition:
         for _ in range(20):
             g = random_graph(rng, rng.randint(2, 10))
             a = adjacency_matrix(g)
-            report = eigen_decomposition(a)
-            for cluster in report.clusters:
-                shifted = eigen_decomposition(a - cluster.value * np.eye(g.n))
-                assert shifted.multiplicity_near(0.0) == cluster.multiplicity
+            _, clusters = naive_eigen_clusters(a, spectral.CLUSTER_GAP)
+            assert eigen_decomposition(a).max_multiplicity() == \
+                max(k for _, k in clusters)
+            for mean, k in clusters:
+                shifted = eigen_decomposition(a - mean * np.eye(g.n))
+                assert sum(abs(ev) <= spectral.CLUSTER_GAP
+                           for ev in shifted.eigenvalues) == k
 
     def test_cluster_report_stable_across_tolerances(self):
         for g in (complete_graph(4), cycle_graph(4), complete_bipartite(3, 3),
                   petersen(), cycle_graph(6)):
             a = adjacency_matrix(g)
-            reference = [c.multiplicity for c in eigen_decomposition(a).clusters]
+            _, clusters = naive_eigen_clusters(a, spectral.CLUSTER_GAP)
+            reference = [k for _, k in clusters]
+            assert eigen_decomposition(a).max_multiplicity() == max(reference)
             for gap in (1e-9, 1e-8, 1e-7, 1e-6):
                 _, clusters = naive_eigen_clusters(a, gap)
                 assert [k for _, k in clusters] == reference
@@ -131,11 +147,9 @@ class TestEigenDecomposition:
             report = eigen_decomposition(matrix)
             values, clusters = naive_eigen_clusters(matrix, spectral.CLUSTER_GAP)
             assert report.eigenvalues == values
-            assert [c.multiplicity for c in report.clusters] == \
-                [k for _, k in clusters]
-            for c, (mean, _) in zip(report.clusters, clusters):
-                assert abs(c.value - mean) <= 1e-12
-            largest = max([largest] + [c.multiplicity for c in report.clusters])
+            assert report.max_multiplicity() == \
+                max((k for _, k in clusters), default=0)
+            largest = max(largest, report.max_multiplicity())
         assert largest >= 9
 
 
@@ -201,18 +215,17 @@ class TestTwins:
 
     def test_path_has_none(self):
         assert twin_bound(path_graph(5)) == 0
-        assert twin_classes(path_graph(5)) == ()
 
     def test_classes_match_networkx_neighborhoods(self):
         # every graph with 0-7 vertices: vertices grouped by their networkx
-        # neighbor set, groups in order of their least vertex
+        # neighbor set, each group adding its size - 1
         for h in networkx.graph_atlas_g():
             groups = {}
             for v in sorted(h):
                 groups.setdefault(frozenset(h[v]), []).append(v)
-            expected = tuple(tuple(vs) for vs in groups.values() if len(vs) > 1)
+            expected = sum(len(vs) - 1 for vs in groups.values())
             g = Graph(h.number_of_nodes(), list(h.edges()))
-            assert twin_classes(g) == expected, h.edges()
+            assert twin_bound(g) == expected, h.edges()
 
     def test_adjacency_nullity_certifies_twin_bound(self):
         # equal rows for twins force at least twin_bound zero eigenvalues
@@ -221,7 +234,8 @@ class TestTwins:
                 bound = twin_bound(g)
                 if bound:
                     report = eigen_decomposition(adjacency_matrix(g))
-                    assert report.multiplicity_near(0.0) >= bound
+                    assert sum(abs(ev) <= spectral.CLUSTER_GAP
+                               for ev in report.eigenvalues) >= bound
 
     def test_twin_bound_below_forcing_number(self):
         for n in range(1, 7):
@@ -319,7 +333,28 @@ class TestBoundsReport:
     def test_budget_exhaustion(self):
         report = bounds_report(heawood_graph(), budget=4)
         assert (report.lower, report.upper, report.m) == (6, None, None)
-        assert (report.upper_floor, report.witness) == (5, None)
+        # the solver alone proves Z >= 5; L = 6 raises the floor
+        assert (report.upper_floor, report.witness) == (6, None)
+
+    def test_budget_floor_is_the_larger_of_solver_floor_and_lower(self):
+        # budgets below and at L, where the search is skipped, and above it:
+        # the floor is what the solver proves, raised to L
+        for g in [*load_catalog(8), *load_catalog(10), heawood_graph(),
+                  necklace(3), complete_graph(5)]:
+            lower = bounds_report(g).lower
+            for budget in range(-1, lower + 2):
+                report = bounds_report(g, budget=budget)
+                result = zero_forcing_number(g, budget=budget)
+                assert report.upper == result.z
+                assert report.upper_floor == max(result.lower_bound, lower)
+
+    def test_budget_below_lower_skips_the_search(self):
+        # necklace(b) has L = 2b + 2 = Z; with budget 12 the solver alone
+        # would search every set of up to 12 vertices of n = 6b
+        for beads in range(7, 21):
+            report = bounds_report(necklace(beads), budget=12)
+            assert (report.lower, report.upper) == (2 * beads + 2, None)
+            assert report.upper_floor == 2 * beads + 2
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):

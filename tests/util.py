@@ -15,9 +15,22 @@ import networkx
 import numpy as np
 
 from zeroforcing import (FamilySpec, Graph, assemblies, block_sequences,
-                         build_family, canonical_labelling, forcing)
+                         build_family, canonical_labelling, closure, forcing)
 from zeroforcing.graphs import (_find, _mask_vertices, _union,
                                 distance_profiles)
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def is_zero_forcing_set(g: Graph, vertices) -> bool:
+    """True when the library's `closure` of `vertices` is all of g."""
+    return len(closure(g, vertices).black) == g.n
 
 
 @functools.lru_cache(maxsize=None)
