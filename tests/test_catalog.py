@@ -7,6 +7,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 import pytest
 
 from conftest import load_catalog
+from util import reference_census
 from zeroforcing import catalog
 from zeroforcing import canonical_labelling, connected_cubic_graphs, write_graph6
 
@@ -130,3 +131,64 @@ def test_children_build_one_pick_per_orbit(order, kept):
             assert len(got) == len(set(got)) and set(got) == expected
             built += len(got)
     assert built == kept
+
+
+def test_filter_keeps_every_certificate():
+    """The census lists the certificates of `reference_census`, the same
+    loop without the filter, in the same order; and every automorphism a
+    member keeps for pruning its children preserves the member's edges."""
+    for order in range(4, 15, 2):
+        members = catalog._census(order)
+        assert [canonical_labelling(g)[0] for g, _ in members] == \
+            [canonical_labelling(g)[0] for g, _ in reference_census(order)]
+        for g, automorphisms in members:
+            for p in automorphisms:
+                assert {tuple(sorted((p[u], p[v]))) for u, v in g.edges} \
+                    == g.edges
+
+
+def networkx_reducible(g, x, y):
+    """Delete xy in a multigraph, suppress x and y, and check that what is
+    left is a simple connected cubic graph."""
+    h = networkx.MultiGraph(list(g.edges))
+    h.remove_edge(x, y)
+    for v in (x, y):
+        a, b = [w for _, w in h.edges(v)]
+        h.remove_node(v)
+        h.add_edge(a, b)
+    return (networkx.number_of_selfloops(h) == 0
+            and all(h.number_of_edges(u, v) == 1 for u, v in h.edges())
+            and all(d == 3 for _, d in h.degree)
+            and networkx.is_connected(h))
+
+
+def test_reducible_matches_networkx():
+    """Every edge of every fixture through order 12.  Both outcomes occur,
+    and orders 10 and 12 have bridges, which only the connectivity check
+    rejects."""
+    outcomes = set()
+    for order in (4, 6, 8, 10, 12):
+        for g in load_catalog(order):
+            for x, y in g.edges:
+                expected = networkx_reducible(g, x, y)
+                assert catalog._reducible(g, x, y) == expected, (g, x, y)
+                outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_cold_order_twelve_labels_few_children(monkeypatch):
+    """A cold order-12 census labels 177 children with the filter and 581
+    without it; the bound of 200 catches a filter that stops skipping."""
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return canonical_labelling(g)
+
+    monkeypatch.setattr(catalog, "canonical_labelling", counting)
+    catalog._census.cache_clear()
+    try:
+        connected_cubic_graphs(12)
+    finally:
+        catalog._census.cache_clear()
+    assert len(calls) <= 200

@@ -15,7 +15,8 @@ import networkx
 import numpy as np
 
 from zeroforcing import (FamilySpec, Graph, assemblies, block_sequences,
-                         build_family, canonical_labelling, closure, forcing)
+                         build_family, canonical_labelling, catalog, closure,
+                         complete_graph, forcing)
 from zeroforcing.graphs import (_find, _mask_vertices, _union,
                                 distance_profiles)
 
@@ -254,6 +255,34 @@ def reference_labelling(g: Graph, profiles=None) -> tuple:
     rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
     rec(_reference_refine(nbrs, [rank[p] for p in profiles]), True)
     return (n, best[0]), tuple(best[1]), tuple(automorphisms)
+
+
+# The census loop as it stood before the filter that skips children another
+# (parent, pick) is sure to build, kept verbatim as the oracle whose
+# certificates the census must still list.
+
+@functools.lru_cache(maxsize=None)
+def reference_census(order: int) -> tuple:
+    """(member, automorphisms) for each connected cubic graph of the order,
+    in certificate order, with the automorphisms its labelling found."""
+    if order < 4 or order % 2:
+        return ()
+    if order == 4:
+        k4 = complete_graph(4)
+        return ((k4, canonical_labelling(k4)[1]),)
+    seen = {}
+    for new, picks, gadget in catalog.MOVES:
+        for parent, automorphisms in reference_census(order - new):
+            for child in catalog._children(parent, automorphisms, new, picks,
+                                           gadget):
+                cert, found = canonical_labelling(child)
+                seen.setdefault(cert, (child, found))
+    members = tuple(seen[c] for c in sorted(seen))
+    expected = catalog.CONNECTED_CUBIC_COUNTS.get(order)
+    if expected is not None and len(members) != expected:
+        raise RuntimeError(f"cubic census mismatch at order {order}: "
+                           f"built {len(members)}, expected {expected}")
+    return members
 
 
 def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
