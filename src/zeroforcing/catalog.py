@@ -20,33 +20,46 @@ of returning a silent undercount.
 A pick is the set of parent edges one child replaces.  Picks are pruned by
 the parent's automorphisms (the orbit pruning of Brinkmann, Goedgebeur &
 McKay, Generation of cubic graphs, DMTCS 2011): of the picks that
-automorphisms map onto each other, only the first is built.  Each member
-keeps the automorphisms `canonical_labelling` returned for it, so pruning
-costs no extra search.  It rests on one condition, which every row of
-`MOVES` meets: the gadget edges are invariant, up to a relabelling of the
-new vertices, under swapping "a" with "b", "c" with "d", and the pair
-("a", "b") with ("c", "d").  Then picks in one orbit give isomorphic
-children, in whichever order or direction the automorphism carries the
-replaced edges.  Any set of true automorphisms keeps the census exact; one
-that generates less than the whole group only prunes less.
+automorphisms map onto each other, only the first is built.  The picks are
+walked in `itertools.combinations` order, and each one not yet seen is
+built and its orbit closed under the automorphisms and marked seen, so the
+one built is the least of its orbit.  Each member keeps the automorphisms
+`canonical_labelling` returned for it, so pruning costs no extra search.
+It rests on one condition, which every row of `MOVES` meets: the gadget
+edges are invariant, up to a relabelling of the new vertices, under
+swapping "a" with "b", "c" with "d", and the pair ("a", "b") with
+("c", "d").  Then picks in one orbit give isomorphic children, in whichever
+order or direction the automorphism carries the replaced edges.  Any set of
+true automorphisms keeps the census exact; one that generates less than the
+whole group only prunes less.
 
 Most children the pruning keeps still repeat a class that another child
 reaches, so each child is checked before it is labelled, after the canonical
 construction path of McKay (Isomorph-free exhaustive generation, J.
-Algorithms 1998).  An edge xy is reducible when deleting it and suppressing
-x and y leaves a simple connected cubic graph, which undoes the first move.
-Its key is the sorted pair of its ends' `distance_profiles`, which
-isomorphisms preserve.  A first-row child is skipped when a reducible edge
-has a greater key than the edge joining its new vertices; a child of another
-row is skipped when it has any reducible edge.  Every class the moves reach
-keeps a child.  Take a member G with a reducible edge, and e* one of greatest
-key: G / e* is a connected cubic graph of order n - 2, isomorphic to a census
-member P.  Splitting the two edges of P that e*'s suppressed vertices left
-gives G back, and the first pick of that pick's orbit builds a child
-isomorphic to G by a map that takes its joining edge onto e*.  No reducible
-edge beats that key, so the child is kept.  A class with no reducible edge
-has no first-row child, since a joining edge is always reducible, and the
-filter skips none of its other children.
+Algorithms 1998).  A child is first made as masks and an edge list, the
+parent's with the picked edges toggled off and the gadget's added, and
+becomes a `Graph` only if it is labelled.  An edge xy is reducible when
+deleting it and suppressing x and y leaves a simple connected cubic graph,
+which undoes the first move.  Its key (`_edge_key`, read from the child's
+masks and `distance_profiles`) compares, in turn, the sorted pair of its
+ends' profiles; the sorted pair of (profile, sorted profiles of its
+neighbours) over its ends; and how many vertices lie at each distance from
+xy.  Isomorphisms preserve each part, and so the key.  A first-row child is
+skipped when a reducible edge has a greater key than the edge joining its
+new vertices; the later parts are computed only for the edges tied with the
+joining edge on the first.  A child of another row is skipped when it has
+any reducible edge.  Every class the moves reach keeps a child.  Take a
+member G with a reducible edge, and e* one of greatest key: G / e* is a
+connected cubic graph of order n - 2, isomorphic to a census member P.
+Splitting the two edges of P that e*'s suppressed vertices left gives G
+back, and the first pick of that pick's orbit builds a child isomorphic to
+G by a map that takes its joining edge onto e*.  No reducible edge beats
+that key, so the child is kept.  A class with no reducible edge has no
+first-row child, since a joining edge is always reducible, and the filter
+skips none of its other children.  The argument holds for any
+isomorphism-invariant key; a finer one only leaves fewer ties, and so
+fewer kept children of one class.  A first-row child's profiles also seed
+its labelling, which would otherwise compute them again.
 
 The catalog lists its members in ascending certificate order, each class
 represented by the first child labelled for it, with children made row by
@@ -63,8 +76,9 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import NamedTuple
 
-from .graphs import (Graph, _find, _layers, _union, canonical_labelling,
+from .graphs import (Graph, _layers, _mask_vertices, canonical_labelling,
                      complete_graph, distance_profiles)
 
 CONNECTED_CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060,
@@ -79,36 +93,54 @@ MOVES = (
 )
 
 
+class _Child(NamedTuple):
+    """A child before it is labelled: its order, its neighbour masks and its
+    edges, each once as (u, v) with u < v; `_reducible` and
+    `distance_profiles` read nothing else."""
+    n: int
+    bits: list
+    edges: list
+
+
 def _children(g: Graph, automorphisms, new: int, picks: int, gadget):
-    """Each way to replace `picks` edges of g by the gadget, the edges taken
-    by `itertools.combinations` over `sorted(g.edges)`, except that only the
-    first pick of each orbit under `automorphisms` is built."""
+    """Each `_Child` that replaces `picks` edges of g by the gadget, the edges
+    taken by `itertools.combinations` over `sorted(g.edges)`, except that
+    only the first pick of each orbit under `automorphisms` is built."""
     n = g.n
     inner = [(n + u, n + v) for u, v in gadget if isinstance(u, int)]
     hooks = [("abcd".index(u), n + v) for u, v in gadget if isinstance(u, str)]
     edges = sorted(g.edges)
-    combos = list(itertools.combinations(range(len(edges)), picks))
-    orbit = list(range(len(combos)))    # union-find over the picks
-    if automorphisms:
-        at = {e: i for i, e in enumerate(edges)}
-        index = {c: i for i, c in enumerate(combos)}
-        for p in automorphisms:
-            image = [at[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])]
-                     for u, v in edges]
-            for i, c in enumerate(combos):
-                _union(orbit, i, index[tuple(sorted([image[k] for k in c]))])
-    for i, c in enumerate(combos):
-        if _find(orbit, i) == i:
-            pick = [edges[k] for k in c]
-            ends = sum(pick, ())
-            yield Graph(n + new, [e for e in g.edges if e not in pick] + inner
-                        + [(ends[h], x) for h, x in hooks])
+    at = {e: i for i, e in enumerate(edges)}
+    images = [[at[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])]
+               for u, v in edges] for p in automorphisms]
+    seen = set()
+    for combo in itertools.combinations(range(len(edges)), picks):
+        if combo in seen:
+            continue
+        seen.add(combo)     # the least pick of its orbit: mark the rest
+        stack = [combo]
+        while stack:
+            c = stack.pop()
+            for image in images:
+                d = tuple(sorted([image[k] for k in c]))
+                if d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        pick = [edges[k] for k in combo]
+        ends = sum(pick, ())
+        added = inner + [(ends[h], x) for h, x in hooks]
+        bits = list(g.bits) + [0] * new
+        for u, v in pick + added:   # toggles: no added edge was picked
+            bits[u] ^= 1 << v
+            bits[v] ^= 1 << u
+        kept = [e for e in edges if e not in pick]
+        yield _Child(n + new, bits, kept + added)
 
 
-def _reducible(g: Graph, x: int, y: int) -> bool:
-    """True when deleting the edge xy of the connected cubic graph g and
-    suppressing x and y leaves a simple connected cubic graph: the inverse
-    of the first row of `MOVES`."""
+def _reducible(g, x: int, y: int) -> bool:
+    """True when deleting the edge xy of the connected cubic graph g (a
+    `Graph` or a `_Child`) and suppressing x and y leaves a simple connected
+    cubic graph: the inverse of the first row of `MOVES`."""
     bits = g.bits
     a, b = bits[x] ^ 1 << y, bits[y] ^ 1 << x    # the ends of the new edges
     if a == b or any(bits[m.bit_length() - 1] & m for m in (a, b)):
@@ -119,21 +151,47 @@ def _reducible(g: Graph, x: int, y: int) -> bool:
     return any(layer >> y & 1 for layer in _layers(cut, 1 << x))
 
 
-def _made_elsewhere(g: Graph, first_row: bool) -> bool:
+def _pair(a, b):
+    return (a, b) if a <= b else (b, a)
+
+
+def _edge_key(g, profiles, x: int, y: int) -> tuple:
+    """The key of the edge xy of g (a `Graph` or a `_Child`) that the filter
+    compares, given g's `distance_profiles`: the sorted pair of its ends'
+    profiles; then the sorted pair of (profile, sorted profiles of its
+    neighbours) over its ends; then how many vertices lie at each distance
+    from the edge.  An isomorphism maps each edge to one with the same key."""
+    bits = g.bits
+    ends = [(profiles[v],
+             sorted([profiles[w] for w in _mask_vertices(bits[v])]))
+            for v in (x, y)]
+    return (_pair(profiles[x], profiles[y]), _pair(*ends),
+            [layer.bit_count() for layer in _layers(bits, 1 << x | 1 << y)])
+
+
+def _made_elsewhere(child: _Child, profiles) -> bool:
     """True when another (parent, pick) is sure to build a child isomorphic
-    to g, which need not be labelled (see the module docstring): g has a
-    reducible edge and, if g comes from the first row, one whose key beats
-    that of the edge joining the new vertices."""
-    if not first_row:
-        return any(_reducible(g, x, y) for x, y in g.edges)
-    profiles = distance_profiles(g)
-
-    def key(x, y):
-        return min(profiles[x], profiles[y]), max(profiles[x], profiles[y])
-
-    joined = key(g.n - 2, g.n - 1)
-    return any(key(x, y) > joined and _reducible(g, x, y)
-               for x, y in g.edges)
+    to this one, which need not be labelled (see the module docstring).
+    `profiles` are the child's `distance_profiles` if it comes from the first
+    row, whose children are skipped when a reducible edge has a greater
+    `_edge_key` than the edge joining the new vertices, and None for the
+    other rows, whose children are skipped when any edge is reducible.  The
+    key's later parts are computed only for the edges tied on its first."""
+    if profiles is None:
+        return any(_reducible(child, x, y) for x, y in child.edges)
+    x, y = child.n - 2, child.n - 1
+    joined = _pair(profiles[x], profiles[y])
+    tied = []
+    for u, v in child.edges:
+        first = _pair(profiles[u], profiles[v])
+        if first > joined and _reducible(child, u, v):
+            return True
+        if first == joined and (u, v) != (x, y) and _reducible(child, u, v):
+            tied.append((u, v))
+    if not tied:
+        return False
+    key = _edge_key(child, profiles, x, y)
+    return any(_edge_key(child, profiles, u, v) > key for u, v in tied)
 
 
 @lru_cache(maxsize=None)
@@ -149,10 +207,12 @@ def _census(order: int) -> tuple:
     for row, (new, picks, gadget) in enumerate(MOVES):
         for parent, automorphisms in _census(order - new):
             for child in _children(parent, automorphisms, new, picks, gadget):
-                if _made_elsewhere(child, row == 0):
+                profiles = None if row else distance_profiles(child)
+                if _made_elsewhere(child, profiles):
                     continue
-                cert, found = canonical_labelling(child)
-                seen.setdefault(cert, (child, found))
+                g = Graph(child.n, child.edges)
+                cert, found = canonical_labelling(g, profiles)
+                seen.setdefault(cert, (g, found))
     members = tuple(seen[c] for c in sorted(seen))
     expected = CONNECTED_CUBIC_COUNTS.get(order)
     if expected is not None and len(members) != expected:

@@ -258,16 +258,22 @@ def _union(parent, x, y):
     parent[max(rx, ry)] = min(rx, ry)
 
 
-def canonical_labelling(g: Graph) -> tuple:
+def canonical_labelling(g: Graph, keys=None) -> tuple:
     """(certificate, automorphisms): equal certificates iff the graphs are
     isomorphic.
 
     Individualization-refinement: each node individualizes one vertex of the
     first non-singleton color class and refines, down to discrete colorings.
-    The root coloring ranks the `distance_profiles` (the first count is the
-    degree): ranking the sorted set of profiles gives isomorphic graphs the
-    same colors on corresponding vertices.  On a regular graph this splits
-    the root where degrees alone would not.
+    The root coloring ranks `keys`, one per vertex, hashable and mutually
+    comparable: ranking the sorted set of keys gives isomorphic graphs the
+    same colors on corresponding vertices, as long as the keys are
+    isomorphism invariant, that is, an isomorphism maps each vertex to one
+    with the same key.  Certificates are comparable only between labellings
+    seeded by the same invariant.  The default is the `distance_profiles`
+    (the first count is the degree), which split the root of a regular graph
+    where degrees alone would not; a caller that has them already passes
+    them, and gets the same result.  Raises ValueError unless there is one
+    key per vertex.
     The certificate is (n, least adjacency bitstring over those leaves).
     First-path automorphism pruning (McKay & Piperno, Practical graph
     isomorphism II, 2014): a leaf equal to the first leaf gives an
@@ -284,6 +290,10 @@ def canonical_labelling(g: Graph) -> tuple:
     color, with two or more vertices.
     """
     n = g.n
+    if keys is None:
+        keys = distance_profiles(g)
+    elif len(keys) != n:
+        raise ValueError(f"{len(keys)} keys for {n} vertices")
     if n == 0:
         return (0, 0), ()
     # a leaf's key holds the adjacency of positions (i, j), j < i, row by row
@@ -344,7 +354,6 @@ def canonical_labelling(g: Graph) -> tuple:
             explored.append(v)
         return depth
 
-    profiles = distance_profiles(g)
-    rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
-    rec(_refine(nbrs, [rank[p] for p in profiles]), True)
+    rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+    rec(_refine(nbrs, [rank[k] for k in keys]), True)
     return (n, best), tuple(automorphisms)

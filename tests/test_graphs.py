@@ -377,6 +377,9 @@ class TestReferenceLabelling:
     def assert_same(g):
         cert, order, automorphisms = reference_labelling(g)
         assert canonical_labelling(g) == (cert, automorphisms)
+        # the default keys are the distance profiles
+        assert canonical_labelling(g, distance_profiles(g)) == \
+            (cert, automorphisms)
 
     def test_atlas_graphs(self):
         inputs = [g for n in range(8) for g in atlas_graphs(n)]
@@ -404,6 +407,34 @@ class TestReferenceLabelling:
 class TestCanonicalCertificate:
     def test_empty_graph(self):
         assert canonical_labelling(Graph(0)) == ((0, 0), ())
+
+    def test_keys_follow_a_relabelling(self):
+        # keys that no isomorphism need preserve, on graphs with many
+        # automorphisms: moved with the vertices, they give one certificate,
+        # and every automorphism found preserves them
+        rng = random.Random(28)
+        for g in (heawood_graph(), permutation_prism(6), necklace(3),
+                  *load_catalog(10)):
+            for keys in (distance_profiles(g),
+                         [rng.randrange(3) for _ in range(g.n)]):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+                moved = [None] * g.n
+                for v, key in enumerate(keys):
+                    moved[perm[v]] = key
+                cert, automorphisms = canonical_labelling(g, keys)
+                assert canonical_labelling(h, moved)[0] == cert
+                for p in automorphisms:
+                    assert [keys[w] for w in p] == keys
+
+    def test_keys_need_one_per_vertex(self):
+        g = heawood_graph()
+        for keys in ([0] * (g.n - 1), [0] * (g.n + 1)):
+            with pytest.raises(ValueError):
+                canonical_labelling(g, keys)
+        with pytest.raises(ValueError):
+            canonical_labelling(Graph(0), [0])
 
     def test_matches_isomorphism(self):
         rng = random.Random(5)

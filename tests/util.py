@@ -275,8 +275,9 @@ def reference_census(order: int) -> tuple:
         for parent, automorphisms in reference_census(order - new):
             for child in catalog._children(parent, automorphisms, new, picks,
                                            gadget):
-                cert, found = canonical_labelling(child)
-                seen.setdefault(cert, (child, found))
+                g = Graph(child.n, child.edges)
+                cert, found = canonical_labelling(g)
+                seen.setdefault(cert, (g, found))
     members = tuple(seen[c] for c in sorted(seen))
     expected = catalog.CONNECTED_CUBIC_COUNTS.get(order)
     if expected is not None and len(members) != expected:
