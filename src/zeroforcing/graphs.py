@@ -5,12 +5,13 @@ graph its value identity, plus one integer bitmask of neighbours per vertex,
 which every algorithm reads; the masks are Python integers, so they set no
 limit on the vertex count.  One breadth-first search over the masks,
 `_layers`, serves the single-source searches: components, spanning-tree
-layers, the branch sets of a minor model and the augmenting paths of edge
-connectivity.  Distance profiles need every source at once, so they grow all
-balls together over the edges.
-Edge connectivity runs those flows only between the vertices of a dominating
-set (Matula's rule), which meets both sides of any cut below the minimum
-degree and every component of a disconnected graph.
+layers, the branch sets of a minor model, the tree of edge connectivity's
+cycle-space labels and the augmenting paths of its flows.  Distance profiles
+need every source at once, so they grow all balls together over the edges.
+Edge connectivity finds cuts of one and two edges from the labels, which
+settles every graph of minimum degree at most 3; above that it runs flows
+only between the vertices of a dominating set (Matula's rule), which meets
+both sides of any cut below the minimum degree.
 """
 
 from __future__ import annotations
@@ -161,27 +162,65 @@ def _max_flow_unit(g: Graph, s: int, t: int, limit: int) -> int:
 def edge_connectivity(g: Graph) -> int:
     """Minimum number of edges whose removal disconnects g; 0 if already disconnected.
 
-    Matula's rule (Determining edge connectivity in O(nm), FOCS 1987): take
-    a dominating set D, greedily, from the lowest vertex not yet dominated.
-    If the answer is below the minimum degree, each side of a minimum cut
-    holds a vertex whose neighbours all lie on that side, and D dominates
-    it, so D meets both sides.  The answer is then the least s-t max flow
-    from D's first vertex s to the other vertices of D, capped at the
-    minimum degree.  D meets every component too, so a disconnected graph
-    gets 0 from its first flow to another component.  Each flow is a fresh
-    residual on g's bitmasks (`_max_flow_unit`) and stops at the smallest
-    cut found so far.
+    Cuts of one and two edges are read off cycle-space labels (Pritchard &
+    Thurimella, Fast computation of small cuts via cycle space sampling,
+    TALG 2011), exact here rather than sampled.  Take a breadth-first tree,
+    give each non-tree edge its own bit, and label each tree edge by the
+    XOR of the non-tree bits incident to the subtree below it.  Each label
+    is then the incidence vector of the fundamental cycles through its
+    edge, and those cycles span the cycle space, so a nonempty edge set
+    whose labels XOR to 0 meets every cycle evenly: it is a cut, and every
+    minimal cut is such a set.  A zero label is a bridge and two equal
+    labels a cut of two edges; a vertex of degree 1 or 2 makes one of
+    them, so without them the answer is at least 3, and exactly 3 at
+    minimum degree 3.
+
+    Above that, Matula's rule (Determining edge connectivity in O(nm), FOCS
+    1987): take a dominating set D, greedily, from the lowest vertex not yet
+    dominated.  If the answer is below the minimum degree, each side of a
+    minimum cut holds a vertex whose neighbours all lie on that side, and D
+    dominates it, so D meets both sides.  The answer is then the least s-t
+    max flow from D's first vertex s to the other vertices of D, capped at
+    the minimum degree.  Each flow is a fresh residual on g's bitmasks
+    (`_max_flow_unit`) and stops at the smallest cut found so far.
     """
-    if g.n <= 1:
+    n = g.n
+    if n <= 1:
         return 0
+    layers = list(_layers(g.bits, 1))
+    if sum(layers) != (1 << n) - 1:
+        return 0
+    parent = [-1] * n
+    below = []      # the non-root vertices, layer by layer
+    for above, layer in zip(layers, layers[1:]):
+        for v in _mask_vertices(layer):
+            parent[v] = (g.bits[v] & above).bit_length() - 1
+            below.append(v)
+    label = [0] * n
+    labels = []
+    for u, v in g.edges:
+        if parent[u] != v and parent[v] != u:
+            bit = 1 << len(labels)
+            labels.append(bit)
+            label[u] ^= bit
+            label[v] ^= bit
+    for v in reversed(below):   # label[v] is now its tree edge's label
+        label[parent[v]] ^= label[v]
+        labels.append(label[v])
+    if 0 in labels:
+        return 1
+    if len(set(labels)) < len(labels):
+        return 2
+    best = g.min_degree()
+    if best == 3:
+        return best
     dominators = []
-    undominated = (1 << g.n) - 1
+    undominated = (1 << n) - 1
     while undominated:
         v = (undominated & -undominated).bit_length() - 1
         dominators.append(v)
         undominated &= ~(g.bits[v] | 1 << v)
     s, *targets = dominators
-    best = g.min_degree()
     for t in targets:
         best = _max_flow_unit(g, s, t, best)
     return best

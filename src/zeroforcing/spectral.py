@@ -173,7 +173,7 @@ def bounds_report(g: Graph, models=(), budget: int | None = None) -> BoundsRepor
         # Z >= M >= L > budget: no witness fits, so skip the search.  The
         # solver's floor would be budget + 1 <= L, or the least degree, a
         # floor on Z it proves without a search
-        floor = max(lower, min(map(g.degree, range(g.n))))
+        floor = max(lower, g.min_degree())
         return BoundsReport(lower_bounds=tuple(sources), upper=None,
                             upper_floor=floor, witness=None)
     result = zero_forcing_number(g, budget=budget)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx
 import pytest
 
 import zeroforcing
@@ -196,6 +197,16 @@ def test_census_columns():
     row = out.strip().split("\t")
     # graph6, n, cubic, kappa, Z, L_eig, L_twin, L_minor, verdict
     assert row == ["C~", "4", "1", "3", "3", "3", "0", "-", "M=3"]
+
+
+def test_census_kappa_matches_networkx(data_dir):
+    code, out, _ = run_cli(["census", "--in", str(data_dir / "cubic12.g6")])
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert len(rows) == 85
+    for row in rows:
+        h = networkx.Graph(list(parse_graph6(row[0]).edges))
+        assert int(row[3]) == networkx.edge_connectivity(h), row[0]
 
 
 def test_bounds_record_bytes():

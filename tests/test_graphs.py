@@ -15,8 +15,9 @@ from util import (atlas_graphs, brute_force_isomorphic, complete_bipartite,
                   naive_refine, neighbor_sets, path_graph, permuted_copy,
                   random_connected_graph, random_graph, reference_labelling)
 from zeroforcing import (Graph, canonical_labelling, complete_graph,
-                         cycle_graph, edge_connectivity, heawood_graph,
-                         necklace, parse_graph6, permutation_prism)
+                         cycle_graph, edge_connectivity, family_members,
+                         heawood_graph, necklace, parse_graph6,
+                         permutation_prism, recognize_z3)
 from zeroforcing.families import assemblies, block_sequences
 from zeroforcing.graphs import _max_flow_unit, _refine, distance_profiles
 
@@ -113,6 +114,11 @@ CANCELLING_RECORDS = ("OAIAHIg?q_@@SBE`OMDG_",
                       "__???W@?A?o_??G?_@?G@@???c_")
 
 
+# two K5 joined by three disjoint edges: kappa 3 against minimum degree 4
+K5 = list(itertools.combinations(range(5), 2))
+K5_PAIR = K5 + [(u + 5, v + 5) for u, v in K5] + [(0, 5), (1, 6), (2, 7)]
+
+
 def assert_edge_connectivity_matches_networkx(h: networkx.Graph):
     g = Graph(h.number_of_nodes(), list(h.edges()))
     assert edge_connectivity(g) == networkx.edge_connectivity(h), h.edges()
@@ -194,6 +200,12 @@ class TestEdgeConnectivity:
                         h, {v: i for i, v in enumerate(order)}))
         kappas = {networkx.edge_connectivity(h) for h in hosts[1252 + 621:]}
         assert {0, 1} <= kappas and max(kappas) >= 3
+        # the cycle-space labels at their extremes: cycle spaces of
+        # dimension 1, 41, 61 and 71 (the last wider than a machine word),
+        # and the two graphs on two vertices
+        hosts += [to_networkx(g) for g in (
+            cycle_graph(64), permutation_prism(40), necklace(20),
+            permutation_prism(70), Graph(2), Graph(2, [(0, 1)]))]
         for h in hosts:
             assert_edge_connectivity_matches_networkx(h)
 
@@ -220,6 +232,40 @@ class TestEdgeConnectivity:
             rng.shuffle(order)
             assert_edge_connectivity_matches_networkx(
                 networkx.relabel_nodes(twin, dict(enumerate(order))))
+
+    def test_above_min_degree_three(self):
+        # no label decides K5_PAIR, so the flows run, with the dominating
+        # set meeting both sides of the cut; K5 and K6 reach Matula's rule
+        # too, and get their minimum degree
+        twin = networkx.Graph(K5_PAIR)
+        assert networkx.edge_connectivity(twin) == 3
+        rng = random.Random(19)
+        for _ in range(40):
+            order = list(range(10))
+            rng.shuffle(order)
+            assert_edge_connectivity_matches_networkx(
+                networkx.relabel_nodes(twin, dict(enumerate(order))))
+        for n in (5, 6):
+            assert edge_connectivity(complete_graph(n)) == n - 1
+
+    def test_no_flow_runs_below_degree_four(self, monkeypatch):
+        # every cubic graph is decided by its labels: no cubic fixture and
+        # no recognize_z3 over the order-18 family members runs a flow,
+        # while K5_PAIR does
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _max_flow_unit(*args)
+
+        monkeypatch.setattr("zeroforcing.graphs._max_flow_unit", counting)
+        for order in range(4, 15, 2):
+            for g in load_catalog(order):
+                edge_connectivity(g)
+        for _, g in family_members(18):
+            assert recognize_z3(g).member
+        assert calls == []
+        assert edge_connectivity(Graph(10, K5_PAIR)) == 3 and calls
 
     def test_single_dominating_vertex(self):
         # vertex 0 dominates K_n and a star centred on it, so no flow runs
