@@ -6,8 +6,9 @@ which every algorithm reads; the masks are Python integers, so they set no
 limit on the vertex count.  One breadth-first search over the masks,
 `_layers`, serves the single-source searches: components, spanning-tree
 layers, the branch sets of a minor model, the tree of edge connectivity's
-cycle-space labels and the augmenting paths of its flows.  Distance profiles
-need every source at once, so they grow all balls together over the edges.
+cycle-space labels, the augmenting paths of its flows and the orbits that
+prune the canonical labelling.  Distance profiles need every source at
+once, so they grow all balls together over the edges.
 Edge connectivity finds cuts of one and two edges from the labels, which
 settles every graph of minimum degree at most 3; above that it runs flows
 only between the vertices of a dominating set (Matula's rule), which meets
@@ -282,21 +283,6 @@ def distance_profiles(g: Graph) -> list:
         balls = grown
 
 
-def _find(parent, x):
-    """Root of x in the union-find forest `parent`, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent, x, y):
-    """Join the trees of x and y in the union-find forest `parent`, under the
-    lesser root, so that each root is the least element of its tree."""
-    rx, ry = _find(parent, x), _find(parent, y)
-    parent[max(rx, ry)] = min(rx, ry)
-
-
 def canonical_labelling(g: Graph, keys=None) -> tuple:
     """(certificate, automorphisms): equal certificates iff the graphs are
     isomorphic.
@@ -321,7 +307,9 @@ def canonical_labelling(g: Graph, keys=None) -> tuple:
     far, which all fix its prefix.  Skipped leaves repeat keys already seen,
     so the least key is still found.  Each automorphism is a tuple p with
     p[v] the image of v, and together they generate Aut(g), found at no
-    extra search cost.
+    extra search cost.  Each p adds the arcs v -> p(v); a permutation's
+    cycles make reachability along them symmetric, so the orbits of the
+    explored children are what `_layers` reaches from them.
     The per-node shortcuts keep every id: `_refine` keys a singleton by its
     color alone and returns a discrete coloring at once (see there).  The
     ids are dense, so a node with n colors is a leaf, whose coloring gives
@@ -343,7 +331,7 @@ def canonical_labelling(g: Graph, keys=None) -> tuple:
     first = None        # (key, path, colors) of the first leaf
     best = None         # the least leaf key
     automorphisms = []
-    orbit = list(range(n))    # union-find over the automorphisms found so far
+    arcs = [0] * n      # bit p[v] of arcs[v] for each automorphism p found so far
 
     def rec(colors, on_first_path):
         """Search below the node; returns the depth the search resumes at."""
@@ -370,18 +358,17 @@ def canonical_labelling(g: Graph, keys=None) -> tuple:
                 image = tuple([at[c] for c in first[2]])
                 automorphisms.append(image)
                 for u, w in enumerate(image):
-                    _union(orbit, u, w)
+                    arcs[u] |= 1 << w
                 return next(i for i, (u, w) in enumerate(zip(path, first[1])) if u != w)
             return depth
         cells = [[] for _ in range(classes)]
         for v, c in enumerate(colors):
             cells[c].append(v)
-        explored = []
+        explored = covered = 0
         for v in next(cell for cell in cells if len(cell) > 1):
             # while a first-path node is open, every automorphism found so
             # far diverged below it, so each one fixes the node's prefix
-            if on_first_path and (_find(orbit, v)
-                                  in {_find(orbit, u) for u in explored}):
+            if covered >> v & 1:
                 continue
             nc = [c + 1 if c >= colors[v] else c for c in colors]
             nc[v] = colors[v]
@@ -390,7 +377,9 @@ def canonical_labelling(g: Graph, keys=None) -> tuple:
             path.pop()
             if resume < depth:
                 return resume
-            explored.append(v)
+            explored |= 1 << v
+            if on_first_path:   # the orbits of the explored vertices
+                covered = sum(_layers(arcs, explored))
         return depth
 
     rank = {k: i for i, k in enumerate(sorted(set(keys)))}

@@ -115,10 +115,14 @@ def pick_orbits(g):
     return orbits
 
 
-@pytest.mark.parametrize("order,kept", [(6, 2), (8, 9), (10, 61)])
+@pytest.mark.parametrize("order,kept", [(6, 2), (8, 9), (10, 61), (12, 508),
+                                        (14, 5086)])
 def test_children_build_one_pick_per_orbit(order, kept):
     """`_children` builds exactly one pick per orbit of the full automorphism
-    group on picks; the pick is what the child lost of the parent's edges."""
+    group on picks; the pick is what the child lost of the parent's edges.
+    That holds only if the automorphisms the labelling returned generate
+    all of Aut(parent), so the cases check it for every parent through
+    order 12."""
     built = 0
     for new, picks, gadget in catalog.MOVES:
         for parent, automorphisms in catalog._census(order - new):

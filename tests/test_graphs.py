@@ -444,9 +444,12 @@ class TestReferenceLabelling:
     def test_large_and_symmetric_graphs(self):
         # symmetric graphs, where automorphism pruning carries the search,
         # two of them past 63 vertices, and the edgeless graphs, whose root
-        # class holds every vertex
+        # class holds every vertex; the oracle finds orbits by union-find
+        petersen = Graph(10, networkx.petersen_graph().edges())
         for g in (cycle_graph(64), permutation_prism(40), necklace(4),
-                  Graph(0), Graph(5)):
+                  Graph(0), Graph(5), complete_graph(8),
+                  complete_bipartite(4, 4), heawood_graph(), petersen,
+                  Graph(9), permutation_prism(40, (1, 2)), necklace(6)):
             self.assert_same(g)
 
 
@@ -592,10 +595,13 @@ class TestAutomorphisms:
 
     def test_orbits_match_networkx(self):
         # cubic fixtures of orders 4-10, then vertex-transitive inputs, whose
-        # vertices all lie in one orbit
+        # vertices all lie in one orbit, then groups of 32, 4, 384, 720 and
+        # 720 elements
         petersen = Graph(10, networkx.petersen_graph().edges())
         inputs = [g for order in (4, 6, 8, 10) for g in load_catalog(order)]
         inputs += [complete_bipartite(3, 3), petersen, heawood_graph()]
+        inputs += [permutation_prism(8), permutation_prism(7, (1, 2)),
+                   necklace(3), complete_graph(6), Graph(6)]
         for g in inputs:
             host = to_networkx(g)
             full = list(GraphMatcher(host, host).isomorphisms_iter())

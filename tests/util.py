@@ -17,8 +17,7 @@ import numpy as np
 from zeroforcing import (FamilySpec, Graph, assemblies, block_sequences,
                          build_family, canonical_labelling, catalog, closure,
                          complete_graph, forcing)
-from zeroforcing.graphs import (_find, _mask_vertices, _union,
-                                distance_profiles)
+from zeroforcing.graphs import _mask_vertices, distance_profiles
 
 
 def path_graph(n: int) -> Graph:
@@ -151,7 +150,8 @@ def naive_refine(nbrs, colors):
 
 # The labelling search as it stood before its per-node shortcuts (singleton
 # keys, the early return on a discrete coloring, the compare-and-swap leaf
-# key), kept verbatim as the oracle that the certificates and automorphisms
+# key) and before its orbits came from a breadth-first search, kept verbatim,
+# union-find included, as the oracle that the certificates and automorphisms
 # must still equal; its canonical order goes unread.
 
 def _reference_refine(nbrs, colors):
@@ -169,6 +169,21 @@ def _reference_refine(nbrs, colors):
         remap = {k: i for i, k in enumerate(distinct)}
         colors = [remap[k] for k in keys]
         classes = len(distinct)
+
+
+def _find(parent, x):
+    """Root of x in the union-find forest `parent`, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, x, y):
+    """Join the trees of x and y in the union-find forest `parent`, under the
+    lesser root, so that each root is the least element of its tree."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    parent[max(rx, ry)] = min(rx, ry)
 
 
 def reference_labelling(g: Graph, profiles=None) -> tuple:
