@@ -11,7 +11,7 @@ from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import (Graph, canonical_labelling, complete_graph, cycle_graph,
                      edge_connectivity)
 from .recognition import RecognitionResult, recognize_z3
-from .spanning import DegreeCensus, SpanningTree, degree_census, spanning_tree
+from .spanning import DegreeCensus, degree_census, spanning_tree
 from .spectral import (BoundsReport, MinorModel, SpectralReport,
                        adjacency_matrix, bounds_report, eigen_decomposition,
                        max_multiplicity_bound, minor_model_violation,

@@ -139,16 +139,16 @@ def _recognize(args, line, g):
 
 
 def _spantree(args, line, g):
-    result = spanning_tree(g, args.root)
+    tree = spanning_tree(g, args.root)
     if args.format == "graph6":
-        return write_graph6(result.tree), True
-    deleted = ",".join(f"({u},{v})" for u, v in sorted(result.deleted))
+        return write_graph6(tree), True
+    deleted = ",".join(f"({u},{v})" for u, v in sorted(g.edges - tree.edges))
     try:
-        census = degree_census(result)
+        census = degree_census(tree)
         extra = f"  n1={census.n1} n2={census.n2} n3={census.n3}"
     except ValueError:              # a vertex of degree 0 or above 3
         extra = ""
-    return (f"{write_graph6(result.tree)}  root={args.root}  "
+    return (f"{write_graph6(tree)}  root={args.root}  "
             f"deleted=[{deleted}]{extra}"), True
 
 

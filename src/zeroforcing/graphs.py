@@ -181,9 +181,10 @@ def edge_connectivity(g: Graph) -> int:
     dominated.  If the answer is below the minimum degree, each side of a
     minimum cut holds a vertex whose neighbours all lie on that side, and D
     dominates it, so D meets both sides.  The answer is then the least s-t
-    max flow from D's first vertex s to the other vertices of D, capped at
-    the minimum degree.  Each flow is a fresh residual on g's bitmasks
-    (`_max_flow_unit`) and stops at the smallest cut found so far.
+    max flow from vertex 0, always D's first member, to the other vertices
+    of D, capped at the minimum degree.  Each flow is a fresh residual on
+    g's bitmasks (`_max_flow_unit`) and stops at the smallest cut found so
+    far.
     """
     n = g.n
     if n <= 1:
@@ -215,15 +216,11 @@ def edge_connectivity(g: Graph) -> int:
     best = g.min_degree()
     if best == 3:
         return best
-    dominators = []
-    undominated = (1 << n) - 1
+    undominated = (1 << n) - 2 & ~g.bits[0]     # outside N[0]
     while undominated:
-        v = (undominated & -undominated).bit_length() - 1
-        dominators.append(v)
-        undominated &= ~(g.bits[v] | 1 << v)
-    s, *targets = dominators
-    for t in targets:
-        best = _max_flow_unit(g, s, t, best)
+        t = (undominated & -undominated).bit_length() - 1
+        best = _max_flow_unit(g, 0, t, best)
+        undominated &= ~(g.bits[t] | 1 << t)
     return best
 
 

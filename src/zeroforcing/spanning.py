@@ -22,14 +22,6 @@ from .graphs import Graph, _layers, _mask_vertices
 
 
 @dataclass(frozen=True)
-class SpanningTree:
-    tree: Graph
-    root: int
-    layers: tuple          # frozensets partitioning the vertices by depth
-    deleted: frozenset     # edges of the host graph absent from the tree
-
-
-@dataclass(frozen=True)
 class DegreeCensus:
     """Counts of tree vertices by degree, for trees with maximum degree 3."""
 
@@ -38,7 +30,8 @@ class DegreeCensus:
     n3: int
 
 
-def spanning_tree(g: Graph, root: int) -> SpanningTree:
+def spanning_tree(g: Graph, root: int) -> Graph:
+    """The layered spanning tree of a connected g from root, on g's vertices."""
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} out of range for n={g.n}")
     masks = list(_layers(g.bits, 1 << root))
@@ -48,16 +41,12 @@ def spanning_tree(g: Graph, root: int) -> SpanningTree:
                  key=lambda u: (g.degree(u), u)), x)
             for previous, layer in zip(masks, masks[1:])
             for x in _mask_vertices(layer)]
-    tree = Graph(g.n, kept)
-    return SpanningTree(tree=tree, root=root,
-                        layers=tuple(frozenset(_mask_vertices(m)) for m in masks),
-                        deleted=g.edges - tree.edges)
+    return Graph(g.n, kept)
 
 
-def degree_census(t: SpanningTree) -> DegreeCensus:
+def degree_census(tree: Graph) -> DegreeCensus:
     """Exact degree-1/2/3 counts of the tree; rejects trees of higher degree."""
     counts = {1: 0, 2: 0, 3: 0}
-    tree = t.tree
     for v in range(tree.n):
         d = tree.degree(v)
         if d not in counts:

@@ -142,9 +142,9 @@ def test_criterion_7_spanning_tree_properties():
             root = rng.randrange(n)
             tree = spanning_tree(g, root)
             census = degree_census(tree)
-            leaves = [v for v in range(n) if tree.tree.degree(v) == 1]
+            leaves = [v for v in range(n) if tree.degree(v) == 1]
             z_graph = zero_forcing_number(g).z
-            z_tree = zero_forcing_number(tree.tree).z
+            z_tree = zero_forcing_number(tree).z
             forced = naive_closure(g, leaves)
             if len(forced) != n:
                 violations["leaves force G"].append(

@@ -117,6 +117,9 @@ CANCELLING_RECORDS = ("OAIAHIg?q_@@SBE`OMDG_",
 # two K5 joined by three disjoint edges: kappa 3 against minimum degree 4
 K5 = list(itertools.combinations(range(5), 2))
 K5_PAIR = K5 + [(u + 5, v + 5) for u, v in K5] + [(0, 5), (1, 6), (2, 7)]
+# two K6 joined by four disjoint edges: kappa 4 against minimum degree 5
+K6 = list(itertools.combinations(range(6), 2))
+K6_PAIR = K6 + [(u + 6, v + 6) for u, v in K6] + [(i, i + 6) for i in range(4)]
 
 
 def assert_edge_connectivity_matches_networkx(h: networkx.Graph):
@@ -247,6 +250,31 @@ class TestEdgeConnectivity:
                 networkx.relabel_nodes(twin, dict(enumerate(order))))
         for n in (5, 6):
             assert edge_connectivity(complete_graph(n)) == n - 1
+
+    def test_flows_at_minimum_degree_five_and_above(self):
+        # cuts the labels cannot decide, below the minimum degree (the K6
+        # pair, and two 6-regular graphs joined by four disjoint edges, whose
+        # sides are not cliques, so a flow from vertex 0 may end on its own
+        # side) and at random regular hosts of degree 4-6, each under ten
+        # seeded relabellings
+        twin = networkx.Graph(K6_PAIR)
+        regular = networkx.disjoint_union(
+            networkx.random_regular_graph(6, 14, 0),
+            networkx.random_regular_graph(6, 14, 1))
+        regular.add_edges_from((i, i + 14) for i in range(4))
+        assert networkx.edge_connectivity(twin) == 4
+        assert networkx.edge_connectivity(regular) == 4
+        hosts = [twin, regular] + [
+            networkx.random_regular_graph(d, n, seed)
+            for d, n in ((4, 10), (4, 16), (5, 12), (5, 20), (6, 14), (6, 24))
+            for seed in range(5)]
+        rng = random.Random(23)
+        for h in hosts:
+            for _ in range(10):
+                order = list(h)
+                rng.shuffle(order)
+                assert_edge_connectivity_matches_networkx(
+                    networkx.relabel_nodes(h, dict(enumerate(order))))
 
     def test_no_flow_runs_below_degree_four(self, monkeypatch):
         # every cubic graph is decided by its labels: no cubic fixture and
