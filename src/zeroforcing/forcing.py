@@ -12,12 +12,18 @@ every state on the path, because at each step v and all its other neighbors
 are black in it, so v forces the one left.  The steps buy disjoint sets of
 vertices white at the time, so the witness has exactly Z members.
 
-Three rules cut work without changing which states yield children, what their
+Five rules cut work without changing which states yield children, what their
 paths bought, Z or the witness.  Every step buys at least one vertex, so a
 state that costs the cap already is not expanded, and a child that reaches
 the cap short of the full set is not stored: neither could lead to a path
 within the cap.  A closure depends only on its input set, so each search
-closes a set once and looks it up after that.
+closes a set once and looks it up after that.  A state is closed and a step
+at v blackens only vertices of N[v], so a child's closure may start at the
+black vertices within distance 2 of v: no other one has lost a white
+neighbor.  A step at the cap that buys one vertex x has the closure of the
+state plus x, since v then forces its last white neighbor; if x lies in the
+closure of an earlier sibling short of the full set, so does the child's, and
+it is skipped unclosed.
 """
 
 from __future__ import annotations
@@ -59,10 +65,12 @@ def _vertex_mask(g: Graph, vertices) -> int:
     return mask
 
 
-def _close_mask(bits, black: int, full: int, trace=None) -> int:
+def _close_mask(bits, black: int, full: int, active=None, trace=None) -> int:
     """Closure on bitmasks: a black vertex with exactly one white neighbor
-    forces it.  Each force applied is appended to `trace` as (forcer, forced)."""
-    active = black
+    forces it.  Each force applied is appended to `trace` as (forcer, forced).
+    The search starts at the black vertices of `active`, all when None: the
+    caller vouches that no other black vertex can force at the start."""
+    active = black if active is None else active & black
     while active:
         low = active & -active
         active ^= low
@@ -82,8 +90,16 @@ def closure(g: Graph, initial) -> DerivedColoring:
     """Derived coloring of `initial`, with the forces listed in the order the
     loop applies them."""
     trace = []
-    black = _close_mask(g.bits, _vertex_mask(g, initial), (1 << g.n) - 1, trace)
+    black = _close_mask(g.bits, _vertex_mask(g, initial), (1 << g.n) - 1, trace=trace)
     return DerivedColoring(black=frozenset(_mask_vertices(black)), trace=tuple(trace))
+
+
+def _ball(bits, nb: int, nv: int) -> int:
+    """The vertices within distance 2 of v, given N(v) and N[v]."""
+    ball = nv
+    for u in _mask_vertices(nb):
+        ball |= bits[u]
+    return ball
 
 
 def _wavefront(bits, full: int, cap: int):
@@ -94,10 +110,17 @@ def _wavefront(bits, full: int, cap: int):
     vertices of `full`, which must be closed under adjacency.
 
     Every step buys at least one vertex, so states costing the cap are not
-    expanded and children at the cap other than the full set are dropped.
-    A closure depends only on its input set, so closures are memoized by
-    that set for the length of this call."""
-    closed = [(bits[v], bits[v] | (1 << v)) for v in _mask_vertices(full)]  # N(v), N[v]
+    expanded and children at the cap other than the full set are dropped,
+    unclosed when a sibling's closure shows they fall short.  A closure
+    depends only on its input set, so closures are memoized by that set for
+    the length of this call, and on a deep search each starts at the stepped
+    vertex's distance-2 ball."""
+    # N(v), N[v], and where a child's closure starts: every black vertex until
+    # the search has closed four sets per step, v's distance-2 ball after that.
+    # The balls cost more than they save on a shallow search, which every
+    # Z = 3 and most Z = 4 searches are, so those never build them.
+    steps = [(bits[v], bits[v] | (1 << v), None) for v in _mask_vertices(full)]
+    balls = False
     # state -> what the cheapest path found to it bought; the steps buy
     # disjoint sets, so the path's cost is the size of that set.  Nothing
     # forces while no vertex is black, so the search starts at the empty set.
@@ -111,7 +134,11 @@ def _wavefront(bits, full: int, cap: int):
         # a stale entry, or one whose every child would cost more than cap
         if cost > bought[s].bit_count() or cost >= cap:
             continue
-        for nb, nv in closed:
+        if not balls and len(closures) >= 4 * len(steps):
+            steps = [(nb, nv, _ball(bits, nb, nv)) for nb, nv, _ in steps]
+            balls = True
+        covered = 0  # the union of this state's child closures so far short of full
+        for nb, nv, ball in steps:
             gained = nv & ~s
             if not gained:
                 continue
@@ -123,11 +150,15 @@ def _wavefront(bits, full: int, cap: int):
             t_cost = cost + step.bit_count()
             if t_cost > cap:
                 continue
+            if t_cost == cap and step & (step - 1) == 0 and step & covered:
+                continue  # the one bought vertex's closure falls short
             t = closures.get(s | gained)
             if t is None:
-                t = closures[s | gained] = _close_mask(bits, s | gained, full)
-            if t_cost == cap and t != full:
-                continue  # it could only be expanded past the cap
+                t = closures[s | gained] = _close_mask(bits, s | gained, full, ball)
+            if t != full:
+                covered |= t
+                if t_cost == cap:
+                    continue  # it could only be expanded past the cap
             if t not in bought or t_cost < bought[t].bit_count():
                 bought[t] = bought[s] | step
                 heapq.heappush(heap, (t_cost, t))

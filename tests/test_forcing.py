@@ -118,6 +118,40 @@ class TestClosure:
         assert set(closure(g, sub).black) <= set(closure(g, t).black)
 
 
+def start_set_cases():
+    """(label, graph) pairs for the start-set contract of `_close_mask`."""
+    cases = [(f"cubic{order:02d} #{i}", g) for order in range(4, 13, 2)
+             for i, g in enumerate(load_catalog(order), start=1)]
+    cases.append(("necklace(3)", necklace(3)))
+    rng = random.Random(14)
+    cases += [(f"random #{i}", random_graph(rng, rng.randint(2, 12), p=rng.random()))
+              for i in range(60)]
+    return cases
+
+
+class TestStartSet:
+    def test_distance_two_ball_suffices_after_a_step(self):
+        # From a closed s, blackening N[v] changes the white neighbors only of
+        # vertices within distance 2 of v, so the closure may start there.
+        rng = random.Random(15)
+        for label, g in start_set_cases():
+            nbrs = neighbor_sets(g)
+            full = (1 << g.n) - 1
+            for _ in range(3):
+                s = naive_closure(g, rng.sample(range(g.n), rng.randint(0, g.n // 3)))
+                s_mask = sum(1 << u for u in s)
+                for v in range(g.n):
+                    closed_nbhd = nbrs[v] | {v}
+                    if closed_nbhd <= s:
+                        continue
+                    near = closed_nbhd.union(*(nbrs[u] for u in nbrs[v]))
+                    ball = sum(1 << u for u in near)
+                    start = s_mask | sum(1 << u for u in closed_nbhd)
+                    got = forcing._close_mask(g.bits, start, full, active=ball)
+                    expected = naive_closure(g, s | closed_nbhd)
+                    assert got == sum(1 << u for u in expected), f"{label}, v={v}"
+
+
 class TestIsZeroForcingSet:
     def test_full_vertex_set(self):
         g = cycle_graph(5)
@@ -259,9 +293,9 @@ class TestWavefront:
         closed = []
         close_mask = forcing._close_mask
 
-        def record(bits, black, full, trace=None):
+        def record(bits, black, full, active=None, trace=None):
             closed.append(black)
-            return close_mask(bits, black, full, trace)
+            return close_mask(bits, black, full, active, trace)
 
         monkeypatch.setattr(forcing, "_close_mask", record)
         for g in (heawood_graph(), necklace(4)):
