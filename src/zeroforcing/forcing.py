@@ -24,6 +24,12 @@ neighbor.  A step at the cap that buys one vertex x has the closure of the
 state plus x, since v then forces its last white neighbor; if x lies in the
 closure of an earlier sibling short of the full set, so does the child's, and
 it is skipped unclosed.
+
+A closed state has no black vertex with exactly one white neighbor, so a step
+that gains k vertices buys exactly max(k - 1, 1) of them.  Each step is priced
+from that count and dropped when the price exceeds the state's slack, the cap
+less its cost, before its bought set is built; and once a full child lowers
+the cap to the state's cost, no step is left that fits, so its expansion ends.
 """
 
 from __future__ import annotations
@@ -114,7 +120,9 @@ def _wavefront(bits, full: int, cap: int):
     unclosed when a sibling's closure shows they fall short.  A closure
     depends only on its input set, so closures are memoized by that set for
     the length of this call, and on a deep search each starts at the stepped
-    vertex's distance-2 ball."""
+    vertex's distance-2 ball.  A step that gains k vertices of a closed state
+    buys max(k - 1, 1), so it is priced, and dropped past the slack, before
+    its bought set is built, and an expansion ends when no slack is left."""
     # N(v), N[v], and where a child's closure starts: every black vertex until
     # the search has closed four sets per step, v's distance-2 ball after that.
     # The balls cost more than they save on a shallow search, which every
@@ -137,34 +145,43 @@ def _wavefront(bits, full: int, cap: int):
         if not balls and len(closures) >= 4 * len(steps):
             steps = [(nb, nv, _ball(bits, nb, nv)) for nb, nv, _ in steps]
             balls = True
+        slack = cap - cost  # what a child may buy and stay within the cap
         covered = 0  # the union of this state's child closures so far short of full
         for nb, nv, ball in steps:
             gained = nv & ~s
             if not gained:
                 continue
             # v forces its highest white neighbor and the step buys the rest;
-            # a white v with none is bought alone.  (s is closed, so a black v
-            # never has exactly one white neighbor: every step buys something.)
-            white_nb = gained & nb
-            step = gained ^ (1 << (white_nb.bit_length() - 1)) if white_nb else gained
-            t_cost = cost + step.bit_count()
-            if t_cost > cap:
+            # a white v with none is bought alone.  s is closed, so a black v
+            # never has exactly one white neighbor: of the k vertices it gains,
+            # the step buys max(k - 1, 1), and the set is built only if read.
+            price = gained.bit_count() - 1 or 1
+            if price > slack:
                 continue
-            if t_cost == cap and step & (step - 1) == 0 and step & covered:
-                continue  # the one bought vertex's closure falls short
+            if price == slack == 1:
+                white_nb = gained & nb
+                step = gained ^ (1 << (white_nb.bit_length() - 1)) if white_nb else gained
+                if step & covered:
+                    continue  # the one bought vertex's closure falls short
             t = closures.get(s | gained)
             if t is None:
                 t = closures[s | gained] = _close_mask(bits, s | gained, full, ball)
             if t != full:
                 covered |= t
-                if t_cost == cap:
+                if price == slack:
                     continue  # it could only be expanded past the cap
+            t_cost = cost + price
             if t not in bought or t_cost < bought[t].bit_count():
+                white_nb = gained & nb
+                step = gained ^ (1 << (white_nb.bit_length() - 1)) if white_nb else gained
                 bought[t] = bought[s] | step
                 heapq.heappush(heap, (t_cost, t))
                 if t == full:
                     # only a cheaper path to the full set matters from here on
                     cap = t_cost - 1
+                    if cap == cost:
+                        break  # every step buys a vertex, and no slack is left
+                    slack = cap - cost
     return None
 
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import load_catalog
 from util import (is_zero_forcing_set, naive_closure, naive_colex_least,
-                  naive_wavefront, neighbor_sets, path_graph, random_graph)
+                  naive_wavefront, neighbor_sets, path_graph, random_graph,
+                  reference_wavefront)
 from zeroforcing import (Graph, closure, complete_graph, connected_cubic_graphs,
                          cycle_graph, family_members, forcing, heawood_graph,
                          necklace, zero_forcing_number)
@@ -288,6 +289,37 @@ class TestWavefront:
                             == expected), f"{label}, oracle at cap {cap}"
                 assert (forcing._wavefront(g.bits, full, cap)
                         == expected), f"{label}, cap {cap}"
+
+    @pytest.mark.parametrize("source", ["cubic", "family", "necklace", "atlas"])
+    def test_closes_what_the_reference_loop_closes(self, source, monkeypatch):
+        # Pricing each step from the count of vertices it gains, and ending an
+        # expansion once no slack is left, change no work: the same sets are
+        # closed from the same start sets in the same order, at every cap.
+        calls = []
+        close_mask = forcing._close_mask
+
+        def record(bits, black, full, active=None, trace=None):
+            calls.append((black, active))
+            return close_mask(bits, black, full, active, trace)
+
+        monkeypatch.setattr(forcing, "_close_mask", record)
+        if source == "cubic":
+            cases = [(f"cubic{order:02d} #{i}", g) for order in range(4, 13, 2)
+                     for i, g in enumerate(load_catalog(order), start=1)]
+        elif source == "necklace":
+            cases = [(f"necklace({b})", necklace(b)) for b in (3, 4)]
+        else:
+            cases = oracle_cases(source)
+        for label, g in cases:
+            full = (1 << g.n) - 1
+            for cap in range(1, g.n + 1):
+                calls.clear()
+                expected = reference_wavefront(g.bits, full, cap)
+                expected_calls = calls[:]
+                calls.clear()
+                assert (forcing._wavefront(g.bits, full, cap)
+                        == expected), f"{label}, cap {cap}"
+                assert calls == expected_calls, f"{label}, cap {cap}"
 
     def test_closes_each_set_once(self, monkeypatch):
         closed = []

@@ -135,6 +135,65 @@ def naive_wavefront(bits, full: int, cap: int):
     return None
 
 
+def reference_wavefront(bits, full: int, cap: int):
+    """`forcing._wavefront` as it stood before each step was priced from the
+    count of vertices it gains, its code kept verbatim as the oracle whose
+    closures, in order, and result the solver must still equal.  It builds
+    the bought mask of every step that gains a vertex, and closes through
+    `forcing._close_mask`, so a test can record the calls."""
+    # N(v), N[v], and where a child's closure starts: every black vertex until
+    # the search has closed four sets per step, v's distance-2 ball after that.
+    # The balls cost more than they save on a shallow search, which every
+    # Z = 3 and most Z = 4 searches are, so those never build them.
+    steps = [(bits[v], bits[v] | (1 << v), None) for v in _mask_vertices(full)]
+    balls = False
+    # state -> what the cheapest path found to it bought; the steps buy
+    # disjoint sets, so the path's cost is the size of that set.  Nothing
+    # forces while no vertex is black, so the search starts at the empty set.
+    bought = {0: 0}
+    closures = {}  # s | gained -> its closure, for this search only
+    heap = [(0, 0)]
+    while heap:
+        cost, s = heapq.heappop(heap)
+        if s == full:
+            return cost, bought[s]
+        # a stale entry, or one whose every child would cost more than cap
+        if cost > bought[s].bit_count() or cost >= cap:
+            continue
+        if not balls and len(closures) >= 4 * len(steps):
+            steps = [(nb, nv, forcing._ball(bits, nb, nv)) for nb, nv, _ in steps]
+            balls = True
+        covered = 0  # the union of this state's child closures so far short of full
+        for nb, nv, ball in steps:
+            gained = nv & ~s
+            if not gained:
+                continue
+            # v forces its highest white neighbor and the step buys the rest;
+            # a white v with none is bought alone.  (s is closed, so a black v
+            # never has exactly one white neighbor: every step buys something.)
+            white_nb = gained & nb
+            step = gained ^ (1 << (white_nb.bit_length() - 1)) if white_nb else gained
+            t_cost = cost + step.bit_count()
+            if t_cost > cap:
+                continue
+            if t_cost == cap and step & (step - 1) == 0 and step & covered:
+                continue  # the one bought vertex's closure falls short
+            t = closures.get(s | gained)
+            if t is None:
+                t = closures[s | gained] = forcing._close_mask(bits, s | gained, full, ball)
+            if t != full:
+                covered |= t
+                if t_cost == cap:
+                    continue  # it could only be expanded past the cap
+            if t not in bought or t_cost < bought[t].bit_count():
+                bought[t] = bought[s] | step
+                heapq.heappush(heap, (t_cost, t))
+                if t == full:
+                    # only a cheaper path to the full set matters from here on
+                    cap = t_cost - 1
+    return None
+
+
 def naive_refine(nbrs, colors):
     """Reference neighbourhood refinement: recolor every vertex by (color,
     sorted neighbour colors), ranked, until a round changes no color."""
