@@ -1,11 +1,12 @@
 """Color-change closure and the exact zero forcing solver.
 
-Black sets are manipulated as integer bitmasks.  The solver runs one search
-per connected component: Dijkstra over closed sets (the wavefront algorithm;
-Brimkov, Fast and Hicks, arXiv:1704.02065).  From the empty set, a step at v
-buys v, if white, and every white neighbor of v but the highest, and takes
-the closure; v then forces that last neighbor.  The cheapest path to the full
-set costs Z, and what it bought is the witness.
+Black sets are manipulated as integer bitmasks; the closure loop carries the
+white set, and a vertex that has forced is never checked again.  The solver
+runs one search per connected component: Dijkstra over closed sets (the
+wavefront algorithm; Brimkov, Fast and Hicks, arXiv:1704.02065).  From the
+empty set, a step at v buys v, if white, and every white neighbor of v but
+the highest, and takes the closure; v then forces that last neighbor.  The
+cheapest path to the full set costs Z, and what it bought is the witness.
 
 The bought set forces: by induction along the path, its closure contains
 every state on the path, because at each step v and all its other neighbors
@@ -75,21 +76,28 @@ def _close_mask(bits, black: int, full: int, active=None, trace=None) -> int:
     """Closure on bitmasks: a black vertex with exactly one white neighbor
     forces it.  Each force applied is appended to `trace` as (forcer, forced).
     The search starts at the black vertices of `active`, all when None: the
-    caller vouches that no other black vertex can force at the start."""
+    caller vouches that no other black vertex can force at the start.
+
+    `black` must lie within `full`, which must be closed under adjacency; the
+    loop carries the white set `full ^ black`.  A vertex that forces has no
+    white neighbor left, so it can never force again and is not queued back:
+    only the forced vertex and its other black neighbors are."""
+    white = full ^ black
     active = black if active is None else active & black
     while active:
         low = active & -active
         active ^= low
-        white = bits[low.bit_length() - 1] & ~black
-        if white and white & (white - 1) == 0:
-            black |= white
+        w = bits[low.bit_length() - 1] & white
+        if w and w & (w - 1) == 0:
+            white ^= w
             if trace is not None:
-                trace.append((low.bit_length() - 1, white.bit_length() - 1))
-            if black == full:
-                return black
-            # the forced vertex and its black neighbors may force next
-            active |= (bits[white.bit_length() - 1] & black) | white
-    return black
+                trace.append((low.bit_length() - 1, w.bit_length() - 1))
+            if not white:
+                return full
+            # the forced vertex and its black neighbors other than the
+            # forcer may force next
+            active |= (bits[w.bit_length() - 1] & ~white ^ low) | w
+    return full ^ white
 
 
 def closure(g: Graph, initial) -> DerivedColoring:
@@ -147,8 +155,9 @@ def _wavefront(bits, full: int, cap: int):
             balls = True
         slack = cap - cost  # what a child may buy and stay within the cap
         covered = 0  # the union of this state's child closures so far short of full
+        white = full ^ s
         for nb, nv, ball in steps:
-            gained = nv & ~s
+            gained = nv & white
             if not gained:
                 continue
             # v forces its highest white neighbor and the step buys the rest;

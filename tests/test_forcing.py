@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from conftest import load_catalog
 from util import (is_zero_forcing_set, naive_closure, naive_colex_least,
                   naive_wavefront, neighbor_sets, path_graph, random_graph,
-                  reference_wavefront)
+                  reference_close_mask, reference_wavefront)
 from zeroforcing import (Graph, closure, complete_graph, connected_cubic_graphs,
                          cycle_graph, family_members, forcing, heawood_graph,
-                         necklace, zero_forcing_number)
+                         necklace, permutation_prism, zero_forcing_number)
 
 # every graph with 1 to 7 vertices, up to isomorphism (1252 graphs)
 ATLAS = [Graph(h.number_of_nodes(), list(h.edges()))
@@ -151,6 +151,35 @@ class TestStartSet:
                     got = forcing._close_mask(g.bits, start, full, active=ball)
                     expected = naive_closure(g, s | closed_nbhd)
                     assert got == sum(1 << u for u in expected), f"{label}, v={v}"
+
+
+class TestCloseKernel:
+    def test_matches_the_reference_loop(self):
+        # Carrying the white set and not re-queueing the forcer change no
+        # force: the kernel returns the mask of the loop before that change
+        # and appends its trace, in order, from the whole black set and from
+        # a step's distance-2 ball over a closed set.  The last two hosts
+        # have masks wider than a machine word.
+        rng = random.Random(34)
+        cases = start_set_cases()
+        cases += [(f"atlas {i}", g) for i, g in enumerate(ATLAS, start=1)
+                  if g.is_connected()]
+        cases += [("Graph(0)", Graph(0)), ("necklace(20)", necklace(20)),
+                  ("permutation_prism(40)", permutation_prism(40))]
+        for label, g in cases:
+            full = (1 << g.n) - 1
+            starts = [(sum(1 << u for u in rng.sample(range(g.n), k)), None)
+                      for k in (0, g.n // 4, g.n // 3, g.n // 2)]
+            s = reference_close_mask(g.bits, starts[2][0], full)  # closed
+            starts += [(s | nv, forcing._ball(g.bits, g.bits[v], nv))
+                       for v in range(g.n)
+                       if (nv := g.bits[v] | 1 << v) & ~s]
+            for black, active in starts:
+                got, expected = [], []
+                assert (forcing._close_mask(g.bits, black, full, active, got)
+                        == reference_close_mask(g.bits, black, full, active,
+                                                expected)), f"{label}, {black:#x}"
+                assert got == expected, f"{label}, {black:#x}, {active}"
 
 
 class TestIsZeroForcingSet:

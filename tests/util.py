@@ -102,6 +102,31 @@ def naive_colex_least(g: Graph):
     raise AssertionError("unreachable: the full set forces")
 
 
+# The closure loop as it stood before it carried the white set and stopped
+# re-queueing the forcer, kept verbatim as the oracle whose result and trace,
+# force by force, `forcing._close_mask` must still equal.
+
+def reference_close_mask(bits, black: int, full: int, active=None, trace=None) -> int:
+    """Closure on bitmasks: a black vertex with exactly one white neighbor
+    forces it.  Each force applied is appended to `trace` as (forcer, forced).
+    The search starts at the black vertices of `active`, all when None: the
+    caller vouches that no other black vertex can force at the start."""
+    active = black if active is None else active & black
+    while active:
+        low = active & -active
+        active ^= low
+        white = bits[low.bit_length() - 1] & ~black
+        if white and white & (white - 1) == 0:
+            black |= white
+            if trace is not None:
+                trace.append((low.bit_length() - 1, white.bit_length() - 1))
+            if black == full:
+                return black
+            # the forced vertex and its black neighbors may force next
+            active |= (bits[white.bit_length() - 1] & black) | white
+    return black
+
+
 def naive_wavefront(bits, full: int, cap: int):
     """Reference (Z, bought mask) or None: the wavefront search of
     `forcing._wavefront` without its pruning or closure memo.  Every state
