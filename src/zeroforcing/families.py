@@ -85,6 +85,11 @@ def build_family(spec: FamilySpec) -> Graph:
     set: every later block's attachment set, pendants included, is used up
     by its junction.
     """
+    return Graph(*_assemble(spec))
+
+
+def _assemble(spec: FamilySpec) -> tuple:
+    """(order, edge list) of `build_family(spec)`, without the `Graph`."""
     if not spec.blocks or spec.blocks[-1][0] != "T":
         raise ValueError("block sequence must end with a T block")
     if len(spec.matchings) != len(spec.blocks) - 1:
@@ -106,7 +111,7 @@ def build_family(spec: FamilySpec) -> Graph:
         white = [v + n for v in block_white]
         n += block.n
     edges += [(n, v) for v in targets]
-    return Graph(n + 1, edges)
+    return n + 1, edges
 
 
 def block_sequences(order: int):

@@ -4,18 +4,22 @@ Membership in the assembled block family characterizes these graphs, and a
 member is an apex joined to a chain of ladder blocks, so recognition reads
 the chain off the graph.  Edge connectivity 0 (disconnected) raises, 1 or 2
 rejects; the exact solver runs next, and Z != 3 rejects without a walk.  A
-graph with Z = 3 is walked from every apex x and every order (a0, b0, third)
-of x's neighbours with a0 ~ b0.  At the rung a_i b_i the walk closes the
-block as T_i when the third attachment is adjacent to both ends and no
-vertex is left unused; it closes it as M_i when a_i's free neighbour c1 is
-adjacent to the third attachment c2, and then b_i, c1 and c2 each send their
-one unused edge to the next block's attachment, under each junction
-permutation; and it takes a rail step to the unused neighbours a' of a_i and
-b' of b_i when a' ~ b'.  Every complete parse lists the input's vertices in
-`build_family`'s label order for its spec.  The least spec in assembly order
-is reported, the first assembly isomorphic to the input, which is the spec
-`family_members` keeps for its class, and its mapping is checked edge by
-edge against that assembly.
+graph with Z = 3 is walked from every apex x and every pair a0 < b0 of x's
+neighbours with a0 ~ b0, in both orders (a0, b0) and (b0, a0) at once: the
+two orders take the same rail steps, to the unused neighbours a' of a_i and
+b' of b_i when a' ~ b'.  At the rung a_i b_i the walk closes the block as
+T_i, for both orders, when the third attachment is adjacent to both ends
+and no vertex is left unused.  It closes it as M_i in the order (a, b) when
+a_i's free neighbour c1 is adjacent to the third attachment c2, and in the
+order (b, a) when b_i's free neighbour is; then the other end, c1 and c2
+each send their one unused edge to the next block's attachment, and each
+adjacent pair of those three is the next block's first rung, walked in both
+orders under the two junction permutations that put it there.  Every
+complete parse lists the input's vertices in `build_family`'s label order
+for its spec.  The least spec in assembly order is reported, the first
+assembly isomorphic to the input, which is the spec `family_members` keeps
+for its class, and its mapping is checked edge by edge against that
+assembly's edge list.
 """
 
 from __future__ import annotations
@@ -23,15 +27,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .families import FamilySpec, build_family
+from .families import FamilySpec, _assemble
 from .forcing import zero_forcing_number
 from .graphs import Graph, _mask_vertices, edge_connectivity
 
-# white vertex j joins attachment vertex perm[j]; the k-th order of the
-# white vertices that `itertools.permutations` yields is the attachment
-# under the k-th junction here, the inverse of the k-th permutation
-_JUNCTIONS = [tuple(q.index(j) for j in range(3))
-              for q in itertools.permutations(range(3))]
+# white vertex j joins attachment vertex perm[j]: under the junction that
+# inverts the order q, the next block's first rung is (white[q[0]],
+# white[q[1]]) and its third attachment white[q[2]].  One row per unordered
+# first rung: (q[0], q[1], q[2], the junction, the junction with the rung
+# swapped)
+_JUNCTIONS = {q: tuple(q.index(j) for j in range(3))
+              for q in itertools.permutations(range(3))}
+_RUNGS = [(i, j, k, _JUNCTIONS[i, j, k], _JUNCTIONS[j, i, k])
+          for i, j, k in _JUNCTIONS if i < j]
 
 
 @dataclass(frozen=True)
@@ -57,59 +65,91 @@ def _least_parse(g: Graph) -> tuple:
     `assemblies(block_sequences(n))` does, and the mapping lists g's
     vertices in `build_family`'s label order: rung i of a block at offset o
     is o + 2i, o + 2i + 1, then the cap or c1, c2, and the apex comes last.
-    Of the parses with the least key, the first one found is kept.  The
+    A block's two orders, from (a, b) and from (b, a), follow the same rails
+    and are walked together, each with its own matchings; they differ only
+    in the end an M block closes on and in the junction that led to them.
+    Of the parses with the least key, the first one found is kept.  A T
+    close met by both orders keeps the lesser matchings, and the first
+    block's order (a0, b0) with a0 < b0 when both are empty, so ties go as
+    they would over the ordered starts taken in increasing order.  The
     least key a block can reach closes it as T with every vertex left, so
-    a block is walked only when that key is less than the least one found;
-    each block walks its rails before it tries its M closes."""
+    an order is walked only while that key is less than the least one
+    found; each block walks its rails before it tries its M closes, the
+    one of the order (a, b) first."""
     bits = g.bits
     labels, best = [], [((g.n, 0), None)]
 
-    def walk(a, b, third, unused, ms, perms):
+    def flip(lo, hi):
+        # labels[lo:hi] holds whole rungs; swap the ends of each
+        labels[lo:hi:2], labels[lo + 1:hi:2] = \
+            labels[lo + 1:hi:2], labels[lo:hi:2]
+
+    def walk(a, b, third, unused, ms, pq, qp):
         # labels ends with the block's first rung (a, b); `unused` holds
-        # the vertices not yet labelled
-        t = len(ms)
-        if (t, unused.bit_count() // 2, ms, perms) >= best[0][0]:
+        # the vertices not yet labelled; pq and qp are the matchings of the
+        # orders (a, b) and (b, a), None for an order that cannot win
+        t, half, least = len(ms), unused.bit_count() // 2, best[0][0]
+        if pq is not None and (t, half, ms, pq) >= least:
+            pq = None
+        if qp is not None and (t, half, ms, qp) >= least:
+            qp = None
+        if pq is None and qp is None:
             return
         base, closes = len(labels) - 2, []
         for i in itertools.count():
             if not unused:
                 if bits[third] >> a & bits[third] >> b & 1:
-                    best[0] = (t, i, ms, perms), (*labels, third, x)
+                    if qp is None or pq is not None and pq <= qp:
+                        best[0] = (t, i, ms, pq), (*labels, third, x)
+                    else:
+                        flip(base, len(labels))
+                        best[0] = (t, i, ms, qp), (*labels, third, x)
+                        flip(base, len(labels))
                 break
             free_a, free_b = bits[a] & unused, bits[b] & unused
-            c1 = free_a.bit_length() - 1
-            if free_a and bits[c1] >> third & 1:
-                closes.append((i, c1, free_b, unused ^ free_a))
-            a, b = c1, free_b.bit_length() - 1
-            if not (free_a and free_b and bits[a] >> b & 1):
+            if not (free_a and free_b):
+                break
+            a, b = free_a.bit_length() - 1, free_b.bit_length() - 1
+            # an M close of either order: the free neighbour c1 of its first
+            # end ~ third; kept with the other end's free neighbour
+            if pq is not None and bits[a] >> third & 1:
+                closes.append((i, a, free_b, unused ^ free_a, pq, False))
+            if qp is not None and bits[b] >> third & 1:
+                closes.append((i, b, free_a, unused ^ free_b, qp, True))
+            if not bits[a] >> b & 1:
                 break
             unused ^= free_a | free_b
             labels.extend((a, b))
-        for i, c1, free_b, unused in closes:
-            white = (free_b & unused, bits[c1] & unused, bits[third] & unused)
+        for i, c1, far, unused, head, swap in closes:
+            white = (far & unused, bits[c1] & unused, bits[third] & unused)
             reach = white[0] | white[1] | white[2]
             if reach.bit_count() != 3:
                 continue
-            del labels[base + 2 * i + 2:]
+            end = base + 2 * i + 2
+            del labels[end:]
+            if swap:
+                flip(base, end)
             labels.extend((c1, third))
             white = [w.bit_length() - 1 for w in white]
-            for perm, (a2, b2, third2) in zip(_JUNCTIONS,
-                                              itertools.permutations(white)):
+            for first, second, k, perm, swapped in _RUNGS:
+                a2, b2 = white[first], white[second]
                 if bits[a2] >> b2 & 1:
                     labels.extend((a2, b2))
-                    walk(a2, b2, third2, unused ^ reach,
-                         ms + (i,), perms + (perm,))
+                    walk(a2, b2, white[k], unused ^ reach, ms + (i,),
+                         head + (perm,), head + (swapped,))
                     del labels[-2:]
+            if swap:
+                flip(base, end)
         del labels[base + 2:]
 
     full = (1 << g.n) - 1
     for x in range(g.n):
         for a0 in _mask_vertices(bits[x]):
-            for b0 in _mask_vertices(bits[x] & bits[a0]):
+            for b0 in _mask_vertices(bits[x] & bits[a0] & -(2 << a0)):
                 third = bits[x] ^ (1 << a0 | 1 << b0)
                 labels[:] = (a0, b0)
                 walk(a0, b0, third.bit_length() - 1,
-                     full ^ (1 << x | bits[x]), (), ())
+                     full ^ (1 << x | bits[x]), (), (), ())
     return best[0]
 
 
@@ -133,9 +173,10 @@ def recognize_z3(g: Graph) -> RecognitionResult:
     _, m, ms, perms = key
     spec = FamilySpec(blocks=tuple(("M", i) for i in ms) + (("T", m),),
                       matchings=perms)
-    member = build_family(spec)
-    if len(set(mapping)) != g.n or not all(
-            g.has_edge(mapping[u], mapping[v]) for u, v in member.edges):
+    n, edges = _assemble(spec)
+    bits = g.bits
+    if len(mapping) != n or len(set(mapping)) != g.n or not all(
+            bits[mapping[u]] >> mapping[v] & 1 for u, v in edges):
         raise AssertionError(f"the parse as {spec.label()} does not map its "
                              "assembly onto the graph")
     return RecognitionResult(member=True, spec=spec, mapping=mapping)

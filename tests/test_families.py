@@ -9,9 +9,9 @@ import pytest
 from util import is_zero_forcing_set, naive_closure, neighbor_sets
 from zeroforcing import (FamilySpec, Graph, block_sequences, build_family,
                          canonical_labelling, complete_graph, counterexample16,
-                         edge_connectivity, family_members, heawood_graph,
-                         ladder_m, ladder_t, necklace, permutation_prism,
-                         twin_bound, zero_forcing_number)
+                         edge_connectivity, families, family_members,
+                         heawood_graph, ladder_m, ladder_t, necklace,
+                         permutation_prism, twin_bound, zero_forcing_number)
 
 # hand-drawn order-10 member: apex 0, ladder block 1..6, triangle 7..9
 KNOWN_MEMBER_10 = Graph(10, [(0, 1), (0, 2), (0, 6), (1, 3), (2, 1), (2, 4),
@@ -167,7 +167,8 @@ class TestAssembly:
 
 class TestBuildFamily:
     """`build_family` assembles in one pass the graph the operator chain over
-    the drawn tags builds: the same vertex count and edge set."""
+    the drawn tags builds: the same vertex count and edge set, from an edge
+    list that names each edge once."""
 
     def test_every_spec_matches_the_chain_through_order_eighteen(self):
         specs = 0
@@ -178,6 +179,9 @@ class TestBuildFamily:
                     spec = FamilySpec(blocks=blocks, matchings=perms)
                     g = build_family(spec)
                     assert g == chained_family(spec), spec
+                    # recognition checks a parse on this list: each edge once
+                    n, edges = families._assemble(spec)
+                    assert Graph(n, edges) == g and len(edges) == len(g.edges)
                     assert_cubic_connected(g)
                     specs += 1
         assert specs == 1 + 1 + 7 + 13 + 55 + 133 + 463 + 1261    # orders 4, 6, ..., 18

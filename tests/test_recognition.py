@@ -1,5 +1,6 @@
 """Membership recognition for cubic graphs with forcing number 3."""
 
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -7,11 +8,11 @@ import pytest
 
 from conftest import load_catalog
 from util import (complete_bipartite, index_spec, mapping_is_valid,
-                  permuted_copy, random_family_spec)
+                  permuted_copy, random_family_spec, reference_least_parse)
 from zeroforcing import (Graph, build_family, canonical_labelling,
-                         complete_graph, family_members, heawood_graph,
-                         permutation_prism, recognition, recognize_z3,
-                         zero_forcing_number)
+                         complete_graph, counterexample16, family_members,
+                         heawood_graph, necklace, permutation_prism,
+                         recognition, recognize_z3, zero_forcing_number)
 
 TRIANGULAR_PRISM = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                              (0, 3), (1, 4), (2, 5)])
@@ -108,6 +109,23 @@ class TestOrderOfChecks:
         with pytest.raises(AssertionError, match="refute"):
             recognize_z3(complete_bipartite(3, 3))
 
+    def test_a_mapping_off_the_assembly_is_caught(self, monkeypatch):
+        # the true key with two labels swapped, then with one label repeated:
+        # neither maps the assembly's edge list onto the graph
+        g = permuted_copy(random.Random(35), family_members(12)[-1][1])
+        key, mapping = recognition._least_parse(g)
+        member = build_family(recognize_z3(g).spec)
+        swapped, repeated = list(mapping), list(mapping)
+        swapped[0], swapped[2] = swapped[2], swapped[0]
+        repeated[0] = repeated[1]
+        for wrong in (swapped, repeated):
+            assert not mapping_is_valid(member, g, wrong)
+            monkeypatch.setattr(recognition, "_least_parse",
+                                lambda g: (key, tuple(wrong)))
+            with pytest.raises(AssertionError, match="does not map its "
+                               "assembly onto the graph"):
+                recognize_z3(g)
+
 
 class TestPreconditions:
     def test_non_cubic_rejected(self):
@@ -196,3 +214,31 @@ class TestAgreementWithSolver:
             for g in load_catalog(order):
                 if recognize_z3(g).member:
                     assert edge_connectivity(g) >= 3
+
+
+class TestWalkAgainstReference:
+    def test_same_key_and_mapping_as_the_ordered_walk(self):
+        # walking both orders of a rung together finds the parse, ties
+        # included, that one walk per ordered rung finds: relabelled members
+        # through order 22, every fixture through order 14 and three graphs
+        # with no parse
+        graphs = [g for _, _, g in relabelled_members(35, range(4, 23, 2))]
+        graphs += [g for order in range(4, 15, 2) for g in load_catalog(order)]
+        graphs += [necklace(3), heawood_graph(), counterexample16()]
+        parsed = 0
+        for g in graphs:
+            found = recognition._least_parse(g)
+            assert found == reference_least_parse(g)
+            parsed += found[1] is not None
+        assert (len(graphs), parsed) == (884 + 621 + 3, 884 + 19)
+
+    def test_each_junction_puts_one_order_of_one_rung_first(self):
+        # white vertex j joins attachment perm[j]: the row's rung (first,
+        # second) under its junction, (second, first) under the swapped one
+        seen = []
+        for first, second, third, perm, swapped in recognition._RUNGS:
+            assert first < second and {first, second, third} == {0, 1, 2}
+            assert (perm[first], perm[second], perm[third]) == (0, 1, 2)
+            assert (swapped[second], swapped[first], swapped[third]) == (0, 1, 2)
+            seen += [perm, swapped]
+        assert sorted(seen) == sorted(itertools.permutations(range(3)))

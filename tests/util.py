@@ -424,6 +424,80 @@ def index_spec(g: Graph):
     return None
 
 
+# The block-chain walk as it stood before it walked a rung pair's two orders
+# together, kept verbatim as the oracle whose (key, mapping)
+# `recognition._least_parse` must still equal.
+
+# white vertex j joins attachment vertex perm[j]; the k-th order of the
+# white vertices that `itertools.permutations` yields is the attachment
+# under the k-th junction here, the inverse of the k-th permutation
+_REFERENCE_JUNCTIONS = [tuple(q.index(j) for j in range(3))
+                        for q in itertools.permutations(range(3))]
+
+
+def reference_least_parse(g: Graph) -> tuple:
+    """(key, mapping) of the least parse of a cubic g as an apex joined to a
+    block chain; the mapping is None when g has no parse.  The key (M count,
+    T index, M indices, matchings) orders specs as
+    `assemblies(block_sequences(n))` does, and the mapping lists g's
+    vertices in `build_family`'s label order: rung i of a block at offset o
+    is o + 2i, o + 2i + 1, then the cap or c1, c2, and the apex comes last.
+    Of the parses with the least key, the first one found is kept.  The
+    least key a block can reach closes it as T with every vertex left, so
+    a block is walked only when that key is less than the least one found;
+    each block walks its rails before it tries its M closes."""
+    bits = g.bits
+    labels, best = [], [((g.n, 0), None)]
+
+    def walk(a, b, third, unused, ms, perms):
+        # labels ends with the block's first rung (a, b); `unused` holds
+        # the vertices not yet labelled
+        t = len(ms)
+        if (t, unused.bit_count() // 2, ms, perms) >= best[0][0]:
+            return
+        base, closes = len(labels) - 2, []
+        for i in itertools.count():
+            if not unused:
+                if bits[third] >> a & bits[third] >> b & 1:
+                    best[0] = (t, i, ms, perms), (*labels, third, x)
+                break
+            free_a, free_b = bits[a] & unused, bits[b] & unused
+            c1 = free_a.bit_length() - 1
+            if free_a and bits[c1] >> third & 1:
+                closes.append((i, c1, free_b, unused ^ free_a))
+            a, b = c1, free_b.bit_length() - 1
+            if not (free_a and free_b and bits[a] >> b & 1):
+                break
+            unused ^= free_a | free_b
+            labels.extend((a, b))
+        for i, c1, free_b, unused in closes:
+            white = (free_b & unused, bits[c1] & unused, bits[third] & unused)
+            reach = white[0] | white[1] | white[2]
+            if reach.bit_count() != 3:
+                continue
+            del labels[base + 2 * i + 2:]
+            labels.extend((c1, third))
+            white = [w.bit_length() - 1 for w in white]
+            for perm, (a2, b2, third2) in zip(_REFERENCE_JUNCTIONS,
+                                              itertools.permutations(white)):
+                if bits[a2] >> b2 & 1:
+                    labels.extend((a2, b2))
+                    walk(a2, b2, third2, unused ^ reach,
+                         ms + (i,), perms + (perm,))
+                    del labels[-2:]
+        del labels[base + 2:]
+
+    full = (1 << g.n) - 1
+    for x in range(g.n):
+        for a0 in _mask_vertices(bits[x]):
+            for b0 in _mask_vertices(bits[x] & bits[a0]):
+                third = bits[x] ^ (1 << a0 | 1 << b0)
+                labels[:] = (a0, b0)
+                walk(a0, b0, third.bit_length() - 1,
+                     full ^ (1 << x | bits[x]), (), ())
+    return best[0]
+
+
 def random_family_spec(rng: random.Random, order: int) -> FamilySpec:
     """A random assembly recipe of the given even order >= 4: the order
     fixes 2t + (M indices) + (T index) = (order - 4) / 2 for t M blocks,
