@@ -95,8 +95,9 @@ MOVES = (
 
 class _Child(NamedTuple):
     """A child before it is labelled: its order, its neighbour masks and its
-    edges, each once as (u, v) with u < v; `_reducible` and
-    `distance_profiles` read nothing else."""
+    edges, each once as (u, v) with u < v, which are the fields of the
+    `Graph` it becomes; `_reducible` and `distance_profiles` read nothing
+    else."""
     n: int
     bits: list
     edges: list
@@ -210,7 +211,8 @@ def _census(order: int) -> tuple:
                 profiles = None if row else distance_profiles(child)
                 if _made_elsewhere(child, profiles):
                     continue
-                g = Graph(child.n, child.edges)
+                g = Graph._from_masks(child.n, frozenset(child.edges),
+                                      tuple(child.bits))
                 cert, found = canonical_labelling(g, profiles)
                 seen.setdefault(cert, (g, found))
     members = tuple(seen[c] for c in sorted(seen))

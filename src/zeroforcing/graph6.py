@@ -6,15 +6,18 @@ form '~~' for larger n is not supported.  Each following byte carries six
 bits (most significant first) of the upper-triangle adjacency read in column
 order (0,1),(0,2),(1,2),(0,3),...; the last byte is zero-padded; every byte
 but '~' is offset by 63.  Bit b lies in column j, the largest with
-j(j-1)/2 <= b.  The parser decodes only the data bytes that are not 63, and
-the writer sets one bit per edge, so both take time linear in the bytes plus
-the edges.
+j(j-1)/2 <= b, and row b - j(j-1)/2.  The parser decodes only the data bytes
+that are not 63 and reads their set bits in order from a 64-entry table, so
+the column only moves forward: it walks the n - 1 columns once per record.
+Each edge sets its two masks as it is found, and the Graph is built from them
+without checking the edges again, since the walk yields each once with
+row < column < n.  The writer sets one bit per edge.  So both take time
+linear in the bytes plus the edges.
 """
 
 from __future__ import annotations
 
 import re
-from math import isqrt
 
 from .graphs import Graph
 
@@ -22,6 +25,9 @@ HEADER = ">>graph6<<"
 MAX_ORDER = 258047
 _NONZERO = re.compile(r"[^?]")      # a data byte that is not 63 + 0
 _OFFSET = bytes(range(63, 127)) + bytes(192)    # translate 0..63 to 63..126
+# the places 0..5 of a 6-bit value's set bits, most significant first
+_SET_BITS = tuple(tuple(p for p in range(6) if v >> 5 - p & 1)
+                  for v in range(64))
 
 
 class Graph6Error(ValueError):
@@ -64,22 +70,27 @@ def parse_graph6(text: str) -> Graph:
     if len(data) > need:
         raise Graph6Error("trailing data after adjacency bits",
                           base + width + need)
+    bits = [0] * n
     edges = []
+    j = end = 1     # column j holds bits end - j .. end - 1
     for match in _NONZERO.finditer(data):
         k = match.start()
-        val = ord(match.group()) - 63
+        val = ord(data[k]) - 63
         if not 0 <= val <= 63:
-            raise Graph6Error(f"character {match.group()!r} outside printable "
+            raise Graph6Error(f"character {data[k]!r} outside printable "
                               "range", base + width + k)
-        while val:
-            low = val & -val
-            val ^= low
-            bit = 6 * k + 6 - low.bit_length()
+        for place in _SET_BITS[val]:
+            bit = 6 * k + place
             if bit >= nbits:
                 raise Graph6Error("trailing bits nonzero", base + width + k)
-            j = (1 + isqrt(8 * bit + 1)) // 2
-            edges.append((bit - j * (j - 1) // 2, j))
-    return Graph(n, edges)
+            while bit >= end:
+                j += 1
+                end += j
+            i = bit - end + j
+            edges.append((i, j))
+            bits[i] |= 1 << j
+            bits[j] |= 1 << i
+    return Graph._from_masks(n, frozenset(edges), tuple(bits))
 
 
 def write_graph6(g: Graph) -> str:

@@ -47,6 +47,19 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(seen))
         object.__setattr__(self, "bits", tuple(bits))
 
+    @classmethod
+    def _from_masks(cls, n: int, edges: frozenset, bits: tuple) -> Graph:
+        """The Graph with these fields, built without a check.  The caller
+        guarantees what `__init__` would establish: n >= 0; `edges` is a
+        frozenset holding each edge once as (u, v) with 0 <= u < v < n;
+        `bits` is a tuple of n integers in which bit v of bits[u] is set iff
+        u and v are the ends of an edge in `edges`."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "bits", bits)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 

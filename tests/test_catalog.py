@@ -10,7 +10,8 @@ import pytest
 from conftest import load_catalog
 from util import permuted_copy, reference_census
 from zeroforcing import catalog
-from zeroforcing import canonical_labelling, connected_cubic_graphs, write_graph6
+from zeroforcing import (Graph, canonical_labelling, connected_cubic_graphs,
+                         write_graph6)
 from zeroforcing.graphs import distance_profiles
 
 
@@ -31,6 +32,16 @@ def test_connected_cubic_members_are_valid():
             assert g.is_connected()
             certs.add(canonical_labelling(g)[0])
         assert len(certs) == len(members)
+
+
+def test_members_carry_the_masks_of_their_edges():
+    # a member is built from its child's toggled masks, with no check
+    for order in range(4, 15, 2):
+        for g in connected_cubic_graphs(order):
+            h = Graph(g.n, g.edges)
+            assert g.bits == h.bits
+            assert g == h and hash(g) == hash(h)
+            assert type(g.edges) is frozenset
 
 
 def test_odd_and_tiny_orders_empty():

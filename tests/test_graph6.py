@@ -6,7 +6,7 @@ import networkx
 import pytest
 
 from conftest import DATA_DIR
-from util import path_graph, random_graph
+from util import path_graph, random_graph, reference_parse_graph6
 from zeroforcing import (Graph, Graph6Error, complete_graph, parse_graph6,
                          permutation_prism, write_graph6)
 
@@ -188,3 +188,74 @@ def test_nonzero_padding_bits():
 def test_empty_record():
     with pytest.raises(Graph6Error, match="empty"):
         parse_graph6("")
+
+
+def valid_records():
+    """The cubic fixtures of orders 4-14, seeded random graphs of orders
+    0-70 (both size forms) and permutation_prism(1000)."""
+    records = []
+    for order in range(4, 15, 2):
+        records += (DATA_DIR / f"cubic{order:02d}.g6").read_text().split()
+    rng = random.Random(3601)
+    records += [write_graph6(random_graph(rng, n, p=rng.random()))
+                for n in range(71)]
+    records.append(write_graph6(permutation_prism(1000)))
+    return records
+
+
+def corruptions(rng, record):
+    """One seeded corruption of each kind: a replaced byte, a truncation, an
+    extra byte, a set padding bit (when the record has one) and a bad '~'
+    size field."""
+    at = rng.randrange(len(record))
+    byte = chr(rng.choice([rng.randrange(128), rng.randrange(63, 127)]))
+    yield record[:at] + byte + record[at + 1:]
+    yield record[:rng.randrange(len(record))]
+    yield record + chr(rng.randrange(63, 127))
+    n = parse_graph6(record).n
+    spare = -(n * (n - 1) // 2) % 6
+    if spare:
+        last = ord(record[-1]) - 63 | 1 << rng.randrange(spare)
+        yield record[:-1] + chr(63 + last)
+    width = 4 if record[0] == "~" else 1
+    field = [rng.randrange(63, 127) for _ in range(3)]
+    field[rng.randrange(3)] = rng.choice([rng.randrange(63), 127, 63])
+    yield "~" + "".join(map(chr, field[:rng.randrange(1, 4)])) + record[width:]
+
+
+def decoded(parse, text):
+    try:
+        g = parse(text)
+    except Graph6Error as exc:
+        return str(exc), exc.offset
+    return g.n, g.edges, g.bits
+
+
+def test_same_result_as_the_reference_decoder():
+    # each input gives the same (n, edges, bits), or the same message and
+    # offset; every check on the record is met at least once
+    rng = random.Random(3602)
+    messages = []
+    for record in valid_records():
+        texts = [record, ">>graph6<<" + record + "\n"]
+        texts += corruptions(rng, record)
+        for text in texts:
+            got = decoded(parse_graph6, text)
+            assert got == decoded(reference_parse_graph6, text), text[:40]
+            if isinstance(got[0], str):
+                messages.append(got[0])
+    for kind in ("malformed length field", "data bytes", "trailing data",
+                 "outside printable range", "trailing bits nonzero"):
+        assert any(kind in message for message in messages), kind
+
+
+def test_a_parsed_graph_is_a_constructed_graph():
+    for record in valid_records():
+        g = parse_graph6(record)
+        h = Graph(g.n, g.edges)
+        assert g == h and hash(g) == hash(h)
+        assert g.bits == h.bits
+        assert type(g.edges) is frozenset
+        for name in ("n", "edges", "bits", "other"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)

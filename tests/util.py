@@ -10,6 +10,8 @@ import functools
 import heapq
 import itertools
 import random
+import re
+from math import isqrt
 
 import networkx
 import numpy as np
@@ -17,6 +19,7 @@ import numpy as np
 from zeroforcing import (FamilySpec, Graph, assemblies, block_sequences,
                          build_family, canonical_labelling, catalog, closure,
                          complete_graph, forcing)
+from zeroforcing.graph6 import HEADER, MAX_ORDER, Graph6Error
 from zeroforcing.graphs import _mask_vertices, distance_profiles
 
 
@@ -496,6 +499,64 @@ def reference_least_parse(g: Graph) -> tuple:
                 walk(a0, b0, third.bit_length() - 1,
                      full ^ (1 << x | bits[x]), (), ())
     return best[0]
+
+
+# The graph6 decoder as it stood before it walked the columns and built the
+# masks itself, kept verbatim as the oracle whose graphs and errors
+# `graph6.parse_graph6` must still equal; its `_NONZERO` renamed
+# `_REFERENCE_NONZERO`.
+
+_REFERENCE_NONZERO = re.compile(r"[^?]")      # a data byte that is not 63 + 0
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    """Decode one graph6 record; an optional '>>graph6<<' header is permitted."""
+    line = text.rstrip("\r\n")
+    base = 0
+    if line.startswith(HEADER):
+        base = len(HEADER)
+        line = line[base:]
+    if not line:
+        raise Graph6Error("empty graph6 record", base)
+    if line.startswith("~~"):
+        raise Graph6Error("length field '~~' (the 8-byte size form for "
+                          "n >= 258048) is not supported", base)
+    if line[0] == "~":
+        field = [ord(ch) - 63 for ch in line[1:4]]
+        n = field[0] << 12 | field[1] << 6 | field[2] if len(field) == 3 else -1
+        if not (all(0 <= v <= 63 for v in field) and 63 <= n <= MAX_ORDER):
+            raise Graph6Error(f"malformed length field {line[:4]!r}", base)
+        width = 4
+    else:
+        n = ord(line[0]) - 63
+        if not 0 <= n <= 62:
+            raise Graph6Error(f"malformed length field {line[0]!r}", base)
+        width = 1
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    data = line[width:]
+    if len(data) < need:
+        raise Graph6Error(f"record needs {need} data bytes, found {len(data)}",
+                          base + len(line))
+    if len(data) > need:
+        raise Graph6Error("trailing data after adjacency bits",
+                          base + width + need)
+    edges = []
+    for match in _REFERENCE_NONZERO.finditer(data):
+        k = match.start()
+        val = ord(match.group()) - 63
+        if not 0 <= val <= 63:
+            raise Graph6Error(f"character {match.group()!r} outside printable "
+                              "range", base + width + k)
+        while val:
+            low = val & -val
+            val ^= low
+            bit = 6 * k + 6 - low.bit_length()
+            if bit >= nbits:
+                raise Graph6Error("trailing bits nonzero", base + width + k)
+            j = (1 + isqrt(8 * bit + 1)) // 2
+            edges.append((bit - j * (j - 1) // 2, j))
+    return Graph(n, edges)
 
 
 def random_family_spec(rng: random.Random, order: int) -> FamilySpec:
