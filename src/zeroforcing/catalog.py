@@ -211,8 +211,7 @@ def _census(order: int) -> tuple:
                 profiles = None if row else distance_profiles(child)
                 if _made_elsewhere(child, profiles):
                     continue
-                g = Graph._from_masks(child.n, frozenset(child.edges),
-                                      tuple(child.bits))
+                g = Graph._from_masks(frozenset(child.edges), tuple(child.bits))
                 cert, found = canonical_labelling(g, profiles)
                 seen.setdefault(cert, (g, found))
     members = tuple(seen[c] for c in sorted(seen))

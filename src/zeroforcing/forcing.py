@@ -204,7 +204,7 @@ def zero_forcing_number(g: Graph, budget: int | None = None) -> ZeroForcingResul
     if g.n == 0:
         raise ValueError("zero forcing number of the empty graph is undefined")
     # (component mask, least possible Z of the component)
-    comps = [(_vertex_mask(g, c), max(1, min(map(g.degree, c))))
+    comps = [(c, max(1, min(map(g.degree, _mask_vertices(c)))))
              for c in g.components()]
     total = witness = 0
     remaining = sum(floor for _, floor in comps)

@@ -90,7 +90,7 @@ def parse_graph6(text: str) -> Graph:
             edges.append((i, j))
             bits[i] |= 1 << j
             bits[j] |= 1 << i
-    return Graph._from_masks(n, frozenset(edges), tuple(bits))
+    return Graph._from_masks(frozenset(edges), tuple(bits))
 
 
 def write_graph6(g: Graph) -> str:

@@ -48,14 +48,14 @@ class Graph:
         object.__setattr__(self, "bits", tuple(bits))
 
     @classmethod
-    def _from_masks(cls, n: int, edges: frozenset, bits: tuple) -> Graph:
-        """The Graph with these fields, built without a check.  The caller
-        guarantees what `__init__` would establish: n >= 0; `edges` is a
-        frozenset holding each edge once as (u, v) with 0 <= u < v < n;
-        `bits` is a tuple of n integers in which bit v of bits[u] is set iff
-        u and v are the ends of an edge in `edges`."""
+    def _from_masks(cls, edges: frozenset, bits: tuple) -> Graph:
+        """The Graph on len(bits) vertices with these fields, built without
+        a check.  The caller guarantees what `__init__` would establish:
+        `edges` is a frozenset holding each edge once as (u, v) with
+        0 <= u < v < len(bits); `bits` is a tuple of integers in which bit v
+        of bits[u] is set iff u and v are the ends of an edge in `edges`."""
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "n", len(bits))
         object.__setattr__(g, "edges", edges)
         object.__setattr__(g, "bits", bits)
         return g
@@ -82,17 +82,14 @@ class Graph:
     def is_cubic(self) -> bool:
         return self.n > 0 and all(b.bit_count() == 3 for b in self.bits)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.bits[u] >> v & 1)
-
     def components(self) -> tuple:
-        """Connected components as tuples of sorted vertex ids."""
+        """Connected components as vertex bitmasks, ordered by lowest vertex."""
         out = []
         rest = (1 << self.n) - 1
         while rest:
             comp = sum(_layers(self.bits, rest & -rest))    # disjoint layers
             rest ^= comp
-            out.append(tuple(_mask_vertices(comp)))
+            out.append(comp)
         return tuple(out)
 
     def is_connected(self) -> bool:

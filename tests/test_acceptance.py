@@ -13,7 +13,7 @@ import time
 
 from conftest import load_catalog
 from util import (atlas_graphs, is_zero_forcing_set, naive_closure,
-                  naive_eigen_clusters, random_cubic_connected)
+                  naive_eigen_clusters, neighbor_sets, random_cubic_connected)
 from zeroforcing import (MinorModel, adjacency_matrix, bounds_report,
                          complete_graph, counterexample16, degree_census,
                          edge_connectivity, eigen_decomposition, family_members,
@@ -96,11 +96,11 @@ def test_criterion_4_swapped_prisms():
 
 
 def _four_cycles(g):
+    nbrs = neighbor_sets(g)
     for quad in itertools.combinations(range(g.n), 4):
         w, x, y, z = quad
         for a, b, c, d in ((w, x, y, z), (w, x, z, y), (w, y, x, z)):
-            if (g.has_edge(a, b) and g.has_edge(b, c)
-                    and g.has_edge(c, d) and g.has_edge(d, a)):
+            if b in nbrs[a] and c in nbrs[b] and d in nbrs[c] and a in nbrs[d]:
                 yield set(quad)
                 break
 

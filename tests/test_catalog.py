@@ -35,10 +35,11 @@ def test_connected_cubic_members_are_valid():
 
 
 def test_members_carry_the_masks_of_their_edges():
-    # a member is built from its child's toggled masks, with no check
+    # a member is built from its child's toggled masks, with no check, and
+    # takes its order from them
     for order in range(4, 15, 2):
         for g in connected_cubic_graphs(order):
-            h = Graph(g.n, g.edges)
+            h = Graph(order, g.edges)
             assert g.bits == h.bits
             assert g == h and hash(g) == hash(h)
             assert type(g.edges) is frozenset

@@ -11,7 +11,8 @@ import sympy
 
 from conftest import load_catalog
 from util import (atlas_graphs, complete_bipartite, naive_eigen_clusters,
-                  path_graph, random_connected_graph, random_graph)
+                  neighbor_sets, path_graph, random_connected_graph,
+                  random_graph)
 from zeroforcing import spectral
 from zeroforcing import (Graph, MinorModel, adjacency_matrix, bounds_report,
                          complete_graph, cycle_graph, eigen_decomposition,
@@ -157,7 +158,8 @@ def exact_max_multiplicity(g: Graph) -> int:
     """Largest root multiplicity of the characteristic polynomial, in integer
     arithmetic; for a symmetric matrix this equals the largest eigenspace
     dimension."""
-    a = sympy.Matrix(g.n, g.n, lambda i, j: int(g.has_edge(i, j)))
+    nbrs = neighbor_sets(g)
+    a = sympy.Matrix(g.n, g.n, lambda i, j: int(j in nbrs[i]))
     _, factors = sympy.sqf_list(a.charpoly())
     return max(k for _, k in factors)
 

@@ -577,9 +577,10 @@ def mapping_is_valid(g: Graph, h: Graph, mapping) -> bool:
     """True when mapping preserves adjacency and non-adjacency both ways."""
     if mapping is None or sorted(mapping) != list(range(g.n)):
         return False
+    g_nbrs, h_nbrs = neighbor_sets(g), neighbor_sets(h)
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if g.has_edge(u, v) != h.has_edge(mapping[u], mapping[v]):
+            if (v in g_nbrs[u]) != (mapping[v] in h_nbrs[mapping[u]]):
                 return False
     return True
 
