@@ -8,18 +8,18 @@ graph with Z = 3 is walked from every apex x and every pair a0 < b0 of x's
 neighbours with a0 ~ b0, in both orders (a0, b0) and (b0, a0) at once: the
 two orders take the same rail steps, to the unused neighbours a' of a_i and
 b' of b_i when a' ~ b'.  At the rung a_i b_i the walk closes the block as
-T_i, for both orders, when the third attachment is adjacent to both ends
-and no vertex is left unused.  It closes it as M_i in the order (a, b) when
+T_i when no vertex is left unused: on a cubic graph the third attachment is
+then adjacent to both ends.  It closes it as M_i in the order (a, b) when
 a_i's free neighbour c1 is adjacent to the third attachment c2, and in the
 order (b, a) when b_i's free neighbour is; then the other end, c1 and c2
 each send their one unused edge to the next block's attachment, and each
 adjacent pair of those three is the next block's first rung, walked in both
-orders under the two junction permutations that put it there.  Every
-complete parse lists the input's vertices in `build_family`'s label order
-for its spec.  The least spec in assembly order is reported, the first
-assembly isomorphic to the input, which is the spec `family_members` keeps
-for its class, and its mapping is checked edge by edge against that
-assembly's edge list.
+orders under the two junction permutations that put it there, the lesser
+one leading to the order (a, b).  Every complete parse lists the input's
+vertices in `build_family`'s label order for its spec.  The least spec in
+assembly order is reported, the first assembly isomorphic to the input,
+which is the spec `family_members` keeps for its class, and its mapping is
+checked edge by edge against that assembly's edge list.
 """
 
 from __future__ import annotations
@@ -68,14 +68,20 @@ def _least_parse(g: Graph) -> tuple:
     A block's two orders, from (a, b) and from (b, a), follow the same rails
     and are walked together, each with its own matchings; they differ only
     in the end an M block closes on and in the junction that led to them.
-    Of the parses with the least key, the first one found is kept.  A T
-    close met by both orders keeps the lesser matchings, and the first
-    block's order (a0, b0) with a0 < b0 when both are empty, so ties go as
-    they would over the ordered starts taken in increasing order.  The
-    least key a block can reach closes it as T with every vertex left, so
-    an order is walked only while that key is less than the least one
-    found; each block walks its rails before it tries its M closes, the
-    one of the order (a, b) first."""
+    Of the parses with the least key, the first one found is kept.  Two
+    facts keep one key per block.  Every `_RUNGS` junction is less than its
+    swapped one and a first block starts both orders at (), so the matchings
+    pq of (a, b) are never above those qp of (b, a): a block is walked only
+    while its least reachable key with pq, a T close with every vertex
+    left, is less than the least one found, and a T close keeps pq, the
+    order (a0, b0) with a0 < b0 at a first block, so ties go as they would
+    over the ordered starts taken in increasing order; an M close of (b, a)
+    that cannot win leads only to blocks with one more M, which stop at
+    once.  And a T close needs no adjacency test: every labelled vertex but
+    a, b and third then has its three edges in the parse, so on a cubic g
+    the free edge-ends of a, b and third (one, one, two) pair among
+    themselves, and as a ~ b is a rung, third ~ a and third ~ b.  Each block
+    walks its rails before it tries its M closes, the one of (a, b) first."""
     bits = g.bits
     labels, best = [], [((g.n, 0), None)]
 
@@ -86,25 +92,15 @@ def _least_parse(g: Graph) -> tuple:
 
     def walk(a, b, third, unused, ms, pq, qp):
         # labels ends with the block's first rung (a, b); `unused` holds
-        # the vertices not yet labelled; pq and qp are the matchings of the
-        # orders (a, b) and (b, a), None for an order that cannot win
-        t, half, least = len(ms), unused.bit_count() // 2, best[0][0]
-        if pq is not None and (t, half, ms, pq) >= least:
-            pq = None
-        if qp is not None and (t, half, ms, qp) >= least:
-            qp = None
-        if pq is None and qp is None:
+        # the vertices not yet labelled; pq <= qp are the matchings of the
+        # orders (a, b) and (b, a)
+        t = len(ms)
+        if (t, unused.bit_count() // 2, ms, pq) >= best[0][0]:
             return
         base, closes = len(labels) - 2, []
         for i in itertools.count():
             if not unused:
-                if bits[third] >> a & bits[third] >> b & 1:
-                    if qp is None or pq is not None and pq <= qp:
-                        best[0] = (t, i, ms, pq), (*labels, third, x)
-                    else:
-                        flip(base, len(labels))
-                        best[0] = (t, i, ms, qp), (*labels, third, x)
-                        flip(base, len(labels))
+                best[0] = (t, i, ms, pq), (*labels, third, x)
                 break
             free_a, free_b = bits[a] & unused, bits[b] & unused
             if not (free_a and free_b):
@@ -112,9 +108,9 @@ def _least_parse(g: Graph) -> tuple:
             a, b = free_a.bit_length() - 1, free_b.bit_length() - 1
             # an M close of either order: the free neighbour c1 of its first
             # end ~ third; kept with the other end's free neighbour
-            if pq is not None and bits[a] >> third & 1:
+            if bits[a] >> third & 1:
                 closes.append((i, a, free_b, unused ^ free_a, pq, False))
-            if qp is not None and bits[b] >> third & 1:
+            if bits[b] >> third & 1:
                 closes.append((i, b, free_a, unused ^ free_b, qp, True))
             if not bits[a] >> b & 1:
                 break

@@ -11,10 +11,11 @@ import pytest
 
 import zeroforcing
 from util import naive_closure, path_graph, permuted_copy, random_family_spec
-from zeroforcing import (build_family, canonical_labelling, cycle_graph,
-                         distinct_assemblies, family_members, heawood_graph,
-                         necklace, parse_graph6, permutation_prism,
-                         recognize_z3, write_graph6, zero_forcing_number)
+from zeroforcing import (build_family, canonical_labelling, counterexample16,
+                         cycle_graph, distinct_assemblies, family_members,
+                         heawood_graph, necklace, parse_graph6,
+                         permutation_prism, recognize_z3, write_graph6,
+                         zero_forcing_number)
 from zeroforcing.cli import main
 
 
@@ -36,6 +37,10 @@ def test_zf_k4(tmp_path, capsys):
     path.write_text("C~\n")
     assert main(["zf", "--in", str(path)]) == 0
     assert capsys.readouterr().out == "C~  Z=3  witness={0,1,2}\n"
+    # blank and whitespace-only lines are skipped
+    path.write_text("C~\n\n   \nC~\n")
+    assert main(["zf", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "C~  Z=3  witness={0,1,2}\n" * 2
 
 
 def test_zf_tsv(capsys, tmp_path):
@@ -51,6 +56,15 @@ def test_gen_matches_library(capsys):
     assert main(["gen", "family", "--order", "8"]) == 0
     expected = "".join(write_graph6(g) + "\n" for _, g in family_members(8))
     assert capsys.readouterr().out == expected
+    assert main(["gen", "cex16"]) == 0
+    assert capsys.readouterr().out == write_graph6(counterexample16()) + "\n"
+    assert main(["gen", "prism", "5"]) == 0          # no sigma
+    out = capsys.readouterr().out
+    assert out == write_graph6(permutation_prism(5)) + "\n" == "IheAHCPBG\n"
+    assert main(["gen", "family", "t=0", "m=1"]) == 0  # no ladder indices
+    [(_, g)] = distinct_assemblies((("T", 1),))
+    out = capsys.readouterr().out
+    assert out == write_graph6(g) + "\n" == "ErNG\n"
 
 
 def test_pipe_composability_equals_library():
@@ -81,6 +95,10 @@ def test_gen_explicit_family_spec(capsys):
     assert main(["gen", "family", "t=1", "m=0", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1          # all six matchings collapse to one graph
+    assert main(["gen", "family", "t=2", "m=0", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "zeroforcing: expected 2 ladder indices, got 1\n"
 
 
 def test_gen_family_spec_prints_the_distinct_assemblies(capsys):
@@ -144,11 +162,12 @@ def test_gen_prism_sigma_needs_two_indices():
                                   ["prism", "6", "sigma=a,b"],
                                   ["prism", "5", "sigma=1,2", "sigma=2,3"],
                                   ["family", "t=x", "m=0"],
-                                  ["family", "t=1", "m=0", "y"]],
+                                  ["family", "t=1", "m=0", "y"],
+                                  ["family", "t=1", "0"]],
                          ids=["heawood", "cex16", "family", "family-repeated-key",
                               "necklace", "prism", "necklace-x", "prism-x",
                               "prism-sigma-ab", "prism-sigma-twice", "family-t-x",
-                              "family-index-y"])
+                              "family-index-y", "family-without-m"])
 def test_gen_trailing_tokens_are_a_generator_error(spec):
     code, out, err = run_cli(["gen", *spec])
     assert code == 1
@@ -267,6 +286,11 @@ def test_malformed_input_exits_one(tmp_path):
     code, _, err = run_cli(["zf", "--in", str(path)])
     assert code == 1
     assert "line 1" in err
+    # blank lines are skipped but still counted
+    path.write_text("C~\n\n   \nC\n")
+    code, out, err = run_cli(["zf", "--in", str(path)])
+    assert (code, out) == (1, "C~  Z=3  witness={0,1,2}\n")
+    assert err.startswith("line 4: ")
 
 
 def test_missing_input_file():
@@ -275,10 +299,14 @@ def test_missing_input_file():
     assert err
 
 
-def test_unknown_generator():
+def test_unknown_generator(capsys):
     code, _, err = run_cli(["gen", "dodecahedron"])
     assert code == 1
     assert "unknown generator" in err
+    assert main(["gen"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == \
+        ("", "zeroforcing: gen needs a generator spec\n")
 
 
 def test_usage_error_exit_code():

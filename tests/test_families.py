@@ -189,6 +189,7 @@ class TestBuildFamily:
     def test_malformed_specs_rejected(self):
         for blocks, matchings, message in (
                 ((("M", 0),), (), "end with a T"),
+                ((), (), "end with a T"),
                 ((("M", 0), ("T", 0)), (), "one matching per junction"),
                 ((("M", 0), ("T", 0)), ((0, 0, 1),), "bijection"),
                 ((("T", 0), ("T", 0)), ((0, 1, 2),), "from 0 white"),

@@ -66,6 +66,7 @@ class TestGraphType:
         assert path_graph(4) == Graph(4, [(2, 3), (1, 2), (0, 1)])
         assert hash(path_graph(4)) == hash(Graph(4, [(2, 3), (1, 2), (0, 1)]))
         assert path_graph(4) != cycle_graph(4)
+        assert repr(complete_graph(4)) == "Graph(n=4, m=6)"
 
     @given(graphs())
     def test_handshake(self, g):

@@ -234,9 +234,12 @@ class TestWalkAgainstReference:
 
     def test_each_junction_puts_one_order_of_one_rung_first(self):
         # white vertex j joins attachment perm[j]: the row's rung (first,
-        # second) under its junction, (second, first) under the swapped one
+        # second) under its junction, (second, first) under the swapped one;
+        # the junction is the lesser, so the walk's order (a, b) never has
+        # the greater matchings
         seen = []
         for first, second, third, perm, swapped in recognition._RUNGS:
+            assert perm < swapped
             assert first < second and {first, second, third} == {0, 1, 2}
             assert (perm[first], perm[second], perm[third]) == (0, 1, 2)
             assert (swapped[second], swapped[first], swapped[third]) == (0, 1, 2)
