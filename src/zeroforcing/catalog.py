@@ -47,16 +47,18 @@ neighbours) over its ends; and how many vertices lie at each distance from
 xy.  Isomorphisms preserve each part, and so the key.  A first-row child is
 skipped when a reducible edge has a greater key than the edge joining its
 new vertices; the later parts are computed only for the edges tied with the
-joining edge on the first.  A child of another row is skipped when it has
-any reducible edge.  Every class the moves reach keeps a child.  Take a
-member G with a reducible edge, and e* one of greatest key: G / e* is a
-connected cubic graph of order n - 2, isomorphic to a census member P.
-Splitting the two edges of P that e*'s suppressed vertices left gives G
-back, and the first pick of that pick's orbit builds a child isomorphic to
-G by a map that takes its joining edge onto e*.  No reducible edge beats
-that key, so the child is kept.  A class with no reducible edge has no
-first-row child, since a joining edge is always reducible, and the filter
-skips none of its other children.  The argument holds for any
+joining edge on the first, and a tied edge is searched for reducibility
+only once its key beats the joining edge's.  The search is the filter's
+costly test, and most tied keys lose.  A child of another row is skipped
+when it has any reducible edge.  Every class the moves reach keeps a
+child.  Take a member G with a reducible edge, and e* one of greatest key:
+G / e* is a connected cubic graph of order n - 2, isomorphic to a census
+member P.  Splitting the two edges of P that e*'s suppressed vertices left
+gives G back, and the first pick of that pick's orbit builds a child
+isomorphic to G by a map that takes its joining edge onto e*.  No reducible
+edge beats that key, so the child is kept.  A class with no reducible edge
+has no first-row child, since a joining edge is always reducible, and the
+filter skips none of its other children.  The argument holds for any
 isomorphism-invariant key; a finer one only leaves fewer ties, and so
 fewer kept children of one class.  A first-row child's profiles also seed
 its labelling, which would otherwise compute them again.
@@ -176,8 +178,10 @@ def _made_elsewhere(child: _Child, profiles) -> bool:
     `profiles` are the child's `distance_profiles` if it comes from the first
     row, whose children are skipped when a reducible edge has a greater
     `_edge_key` than the edge joining the new vertices, and None for the
-    other rows, whose children are skipped when any edge is reducible.  The
-    key's later parts are computed only for the edges tied on its first."""
+    other rows, whose children are skipped when any edge is reducible.  An
+    edge whose key's first part is greater is searched at once; the later
+    parts are computed only for the edges tied on the first, and a tied edge
+    is searched only once its key beats the joining edge's."""
     if profiles is None:
         return any(_reducible(child, x, y) for x, y in child.edges)
     x, y = child.n - 2, child.n - 1
@@ -187,12 +191,13 @@ def _made_elsewhere(child: _Child, profiles) -> bool:
         first = _pair(profiles[u], profiles[v])
         if first > joined and _reducible(child, u, v):
             return True
-        if first == joined and (u, v) != (x, y) and _reducible(child, u, v):
+        if first == joined and (u, v) != (x, y):
             tied.append((u, v))
     if not tied:
         return False
     key = _edge_key(child, profiles, x, y)
-    return any(_edge_key(child, profiles, u, v) > key for u, v in tied)
+    return any(_edge_key(child, profiles, u, v) > key
+               and _reducible(child, u, v) for u, v in tied)
 
 
 @lru_cache(maxsize=None)

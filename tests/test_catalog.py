@@ -1,5 +1,6 @@
 """The connected cubic census and the shipped graph6 fixtures."""
 
+import collections
 import itertools
 import random
 
@@ -8,7 +9,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 import pytest
 
 from conftest import load_catalog
-from util import permuted_copy, reference_census
+from util import permuted_copy, reference_census, reference_made_elsewhere
 from zeroforcing import catalog
 from zeroforcing import (Graph, canonical_labelling, connected_cubic_graphs,
                          write_graph6)
@@ -228,3 +229,44 @@ def test_cold_order_twelve_labels_few_children(monkeypatch):
     finally:
         catalog._census.cache_clear()
     assert len(calls) <= 135
+
+
+def test_cold_order_twelve_searches_few_edges(monkeypatch):
+    """A cold order-12 census searches 683 edges for reducibility, and 1900
+    when every edge tied with the joining edge on profiles was searched
+    before its key was compared; the bound of 750 catches a return to
+    searching before the comparison."""
+    calls = []
+    reducible = catalog._reducible
+
+    def counting(*args):
+        calls.append(args)
+        return reducible(*args)
+
+    monkeypatch.setattr(catalog, "_reducible", counting)
+    catalog._census.cache_clear()
+    try:
+        connected_cubic_graphs(12)
+    finally:
+        catalog._census.cache_clear()
+    assert len(calls) <= 750
+
+
+def test_filter_verdicts_match_the_reference():
+    """`_made_elsewhere` gives `reference_made_elsewhere`'s verdict, the
+    filter that searched every tied edge before comparing keys, on every
+    child of every row that a build through order 14 makes: 647 kept and
+    4892 skipped in the first row, 7 kept and 120 skipped in the others."""
+    tally = collections.Counter()
+    for row, (new, picks, gadget) in enumerate(catalog.MOVES):
+        for order in range(4, 15 - new, 2):
+            for parent, automorphisms in catalog._census(order):
+                for child in catalog._children(parent, automorphisms, new,
+                                               picks, gadget):
+                    profiles = None if row else distance_profiles(child)
+                    verdict = catalog._made_elsewhere(child, profiles)
+                    assert verdict == \
+                        reference_made_elsewhere(child, profiles), child
+                    tally[row > 0, verdict] += 1
+    assert tally == {(False, False): 647, (False, True): 4892,
+                     (True, False): 7, (True, True): 120}

@@ -388,6 +388,37 @@ def reference_census(order: int) -> tuple:
     return members
 
 
+# The filter as it stood before a tied edge waited for its key to beat the
+# joining edge's before it was searched, kept verbatim as the oracle whose
+# verdicts the filter must still give.
+
+def reference_made_elsewhere(child, profiles) -> bool:
+    """True when another (parent, pick) is sure to build a child isomorphic
+    to this one, which need not be labelled (see the module docstring).
+    `profiles` are the child's `distance_profiles` if it comes from the first
+    row, whose children are skipped when a reducible edge has a greater
+    `_edge_key` than the edge joining the new vertices, and None for the
+    other rows, whose children are skipped when any edge is reducible.  The
+    key's later parts are computed only for the edges tied on its first."""
+    if profiles is None:
+        return any(catalog._reducible(child, x, y) for x, y in child.edges)
+    x, y = child.n - 2, child.n - 1
+    joined = catalog._pair(profiles[x], profiles[y])
+    tied = []
+    for u, v in child.edges:
+        first = catalog._pair(profiles[u], profiles[v])
+        if first > joined and catalog._reducible(child, u, v):
+            return True
+        if first == joined and (u, v) != (x, y) and \
+                catalog._reducible(child, u, v):
+            tied.append((u, v))
+    if not tied:
+        return False
+    key = catalog._edge_key(child, profiles, x, y)
+    return any(catalog._edge_key(child, profiles, u, v) > key
+               for u, v in tied)
+
+
 def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
     """Permutation-check isomorphism; only sensible for n <= 7."""
     if g.n != h.n or len(g.edges) != len(h.edges):
