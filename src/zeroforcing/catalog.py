@@ -41,7 +41,7 @@ parent's with the picked edges toggled off and the gadget's added, and
 becomes a `Graph` only if it is labelled.  An edge xy is reducible when
 deleting it and suppressing x and y leaves a simple connected cubic graph,
 which undoes the first move.  Its key (`_edge_key`, read from the child's
-masks and `distance_profiles`) compares, in turn, the sorted pair of its
+masks and profile ranks, below) compares, in turn, the sorted pair of its
 ends' profiles; the sorted pair of (profile, sorted profiles of its
 neighbours) over its ends; and how many vertices lie at each distance from
 xy.  Isomorphisms preserve each part, and so the key.  A first-row child is
@@ -60,8 +60,25 @@ edge beats that key, so the child is kept.  A class with no reducible edge
 has no first-row child, since a joining edge is always reducible, and the
 filter skips none of its other children.  The argument holds for any
 isomorphism-invariant key; a finer one only leaves fewer ties, and so
-fewer kept children of one class.  A first-row child's profiles also seed
-its labelling, which would otherwise compute them again.
+fewer kept children of one class.  A first-row child's profile ranks also
+seed its labelling, whose root coloring ranks them to the colors the
+profiles give, and which would otherwise compute the profiles again.
+
+A vertex's distance profile counts the vertices at distance 1, 2, ... from
+it (`graphs.distance_profiles`).  The filter and the labelling's root
+coloring only compare the profiles of one child's vertices with each other,
+so a first-row child gets each vertex's profile rank instead: the dense rank
+of its profile among the child's profiles, which orders and ties exactly as
+the profiles do, and compares as one int.  `_profile_ranks` computes them
+for a batch of children at once.  All balls of all the batch's children
+grow together as uint64 masks, one radius per round, and each round ranks
+every vertex within its own child by (previous rank, ball size).  A profile's
+counts are positive until it ends, and then its ball stays whole, so that
+order is the profiles' order.  A round is the same few array operations on
+every vertex of every child, which numpy runs in one call each, where a
+Python loop pays per vertex; the batch spreads each call's fixed cost over
+`_BATCH` children, and the fixed size bounds what a row holds at once.  The
+masks end at 64 vertices, and so does `connected_cubic_graphs`.
 
 The catalog lists its members in ascending certificate order, each class
 represented by the first child labelled for it, with children made row by
@@ -80,8 +97,10 @@ import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from .graphs import (Graph, _layers, _mask_vertices, canonical_labelling,
-                     complete_graph, distance_profiles)
+                     complete_graph)
 
 CONNECTED_CUBIC_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060,
                           18: 41301, 20: 510489}
@@ -95,11 +114,15 @@ MOVES = (
 )
 
 
+_BATCH = 128         # children per `_profile_ranks` call
+_MAX_ORDER = 64      # `_profile_ranks` grows balls as uint64 masks
+
+
 class _Child(NamedTuple):
     """A child before it is labelled: its order, its neighbour masks and its
     edges, each once as (u, v) with u < v, which are the fields of the
-    `Graph` it becomes; `_reducible` and `distance_profiles` read nothing
-    else."""
+    `Graph` it becomes.  The filter reads the masks and the edges, and
+    `_profile_ranks` the edges alone."""
     n: int
     bits: list
     edges: list
@@ -140,6 +163,37 @@ def _children(g: Graph, automorphisms, new: int, picks: int, gadget):
         yield _Child(n + new, bits, kept + added)
 
 
+def _profile_ranks(batch) -> list:
+    """For each cubic `_Child` of the batch, all of one order, each vertex's
+    dense rank among the child's distance profiles (see the module
+    docstring), as a list of ints.
+
+    Each child's 3n arcs, sorted by tail, give its (n, 3) neighbour rows;
+    offset by n per child, they index one flat array of balls.  The rounds
+    stop when no ball grows.  A key (child, rank, size) is dense-ranked over
+    the batch, and each child's least rank taken off its own."""
+    k, n = len(batch), batch[0].n
+    chain = itertools.chain.from_iterable
+    ends = np.fromiter(chain(chain(c.edges for c in batch)), np.intp,
+                       3 * n * k).reshape(k, -1, 2)     # (k, 3n/2, 2)
+    tails = np.concatenate((ends[..., 0], ends[..., 1]), axis=1)
+    heads = np.concatenate((ends[..., 1], ends[..., 0]), axis=1)
+    heads = np.take_along_axis(heads, np.argsort(tails, axis=1), axis=1)
+    a, b, c = (heads.reshape(k, n, 3)
+               + (n * np.arange(k))[:, None, None]).reshape(k * n, 3).T
+    balls = np.tile(np.uint64(1) << np.arange(n, dtype=np.uint64), k)
+    offset = (n * (n + 1) * np.arange(k))[:, None]
+    ranks = np.zeros((k, n), dtype=np.int64)
+    while True:
+        grown = balls | balls[a] | balls[b] | balls[c]
+        if np.array_equal(grown, balls):
+            return ranks.tolist()
+        keys = offset + ranks * (n + 1) + np.bitwise_count(grown).reshape(k, n)
+        ranks = np.unique(keys.ravel(), return_inverse=True)[1].reshape(k, n)
+        ranks -= ranks.min(axis=1, keepdims=True)
+        balls = grown
+
+
 def _reducible(g, x: int, y: int) -> bool:
     """True when deleting the edge xy of the connected cubic graph g (a
     `Graph` or a `_Child`) and suppressing x and y leaves a simple connected
@@ -160,7 +214,8 @@ def _pair(a, b):
 
 def _edge_key(g, profiles, x: int, y: int) -> tuple:
     """The key of the edge xy of g (a `Graph` or a `_Child`) that the filter
-    compares, given g's `distance_profiles`: the sorted pair of its ends'
+    compares, given g's `distance_profiles` or anything that orders and ties
+    as they do, such as `_profile_ranks`: the sorted pair of its ends'
     profiles; then the sorted pair of (profile, sorted profiles of its
     neighbours) over its ends; then how many vertices lie at each distance
     from the edge.  An isomorphism maps each edge to one with the same key."""
@@ -175,13 +230,14 @@ def _edge_key(g, profiles, x: int, y: int) -> tuple:
 def _made_elsewhere(child: _Child, profiles) -> bool:
     """True when another (parent, pick) is sure to build a child isomorphic
     to this one, which need not be labelled (see the module docstring).
-    `profiles` are the child's `distance_profiles` if it comes from the first
-    row, whose children are skipped when a reducible edge has a greater
-    `_edge_key` than the edge joining the new vertices, and None for the
-    other rows, whose children are skipped when any edge is reducible.  An
-    edge whose key's first part is greater is searched at once; the later
-    parts are computed only for the edges tied on the first, and a tied edge
-    is searched only once its key beats the joining edge's."""
+    `profiles` are the child's profile ranks (or its `distance_profiles`,
+    which give the same verdict) if it comes from the first row, whose
+    children are skipped when a reducible edge has a greater `_edge_key`
+    than the edge joining the new vertices, and None for the other rows,
+    whose children are skipped when any edge is reducible.  An edge whose
+    key's first part is greater is searched at once; the later parts are
+    computed only for the edges tied on the first, and a tied edge is
+    searched only once its key beats the joining edge's."""
     if profiles is None:
         return any(_reducible(child, x, y) for x, y in child.edges)
     x, y = child.n - 2, child.n - 1
@@ -211,9 +267,12 @@ def _census(order: int) -> tuple:
         return ((k4, canonical_labelling(k4)[1]),)
     seen = {}
     for row, (new, picks, gadget) in enumerate(MOVES):
-        for parent, automorphisms in _census(order - new):
-            for child in _children(parent, automorphisms, new, picks, gadget):
-                profiles = None if row else distance_profiles(child)
+        children = (child for parent, automorphisms in _census(order - new)
+                    for child in _children(parent, automorphisms, new, picks,
+                                           gadget))
+        while batch := list(itertools.islice(children, _BATCH)):
+            ranks = [None] * len(batch) if row else _profile_ranks(batch)
+            for child, profiles in zip(batch, ranks):
                 if _made_elsewhere(child, profiles):
                     continue
                 g = Graph._from_masks(frozenset(child.edges), tuple(child.bits))
@@ -230,10 +289,14 @@ def _census(order: int) -> tuple:
 def connected_cubic_graphs(order: int) -> tuple:
     """Every connected cubic graph of the given order, up to isomorphism.
 
-    Raises if the census disagrees with the known count for that order.
+    Raises ValueError above order 64, where the profile ranks' uint64 masks
+    end, before building anything; and RuntimeError if the census disagrees
+    with the known count for that order.
     Orders without a known count (22 and up) are checked by nothing: the
     argument in the module docstring shows that the filter loses no class
     the moves reach, and that the moves reach every class is checked only
     at the orders with a count.  Deterministic output.
     """
+    if order > _MAX_ORDER:
+        raise ValueError(f"order {order} exceeds {_MAX_ORDER}")
     return tuple(g for g, _ in _census(order))

@@ -304,7 +304,8 @@ def canonical_labelling(g: Graph, keys=None) -> tuple:
     seeded by the same invariant.  The default is the `distance_profiles`
     (the first count is the degree), which split the root of a regular graph
     where degrees alone would not; a caller that has them already passes
-    them, and gets the same result.  Raises ValueError unless there is one
+    them, or keys that order and tie as they do (the catalog's profile
+    ranks), and gets the same result.  Raises ValueError unless there is one
     key per vertex.
     The certificate is (n, least adjacency bitstring over those leaves).
     First-path automorphism pruning (McKay & Piperno, Practical graph

@@ -12,7 +12,7 @@ from conftest import load_catalog
 from util import permuted_copy, reference_census, reference_made_elsewhere
 from zeroforcing import catalog
 from zeroforcing import (Graph, canonical_labelling, connected_cubic_graphs,
-                         write_graph6)
+                         permutation_prism, write_graph6)
 from zeroforcing.graphs import distance_profiles
 
 
@@ -49,6 +49,24 @@ def test_members_carry_the_masks_of_their_edges():
 def test_odd_and_tiny_orders_empty():
     assert connected_cubic_graphs(7) == ()
     assert connected_cubic_graphs(2) == ()
+
+
+def test_orders_past_64_raise_before_building(monkeypatch):
+    """The profile ranks grow balls as uint64 masks, so orders past 64 raise
+    at once, without a census; 64 and below go to the census as before."""
+    built = []
+
+    def census(order):
+        built.append(order)
+        return ()
+
+    monkeypatch.setattr(catalog, "_census", census)
+    for order in (65, 66, 1000):
+        with pytest.raises(ValueError, match=f"order {order} exceeds 64"):
+            connected_cubic_graphs(order)
+    assert built == []
+    assert connected_cubic_graphs(64) == () and connected_cubic_graphs(63) == ()
+    assert built == [64, 63]
 
 
 def test_census_mismatch_raises(monkeypatch):
@@ -256,17 +274,73 @@ def test_filter_verdicts_match_the_reference():
     """`_made_elsewhere` gives `reference_made_elsewhere`'s verdict, the
     filter that searched every tied edge before comparing keys, on every
     child of every row that a build through order 14 makes: 647 kept and
-    4892 skipped in the first row, 7 kept and 120 skipped in the others."""
+    4892 skipped in the first row, 7 kept and 120 skipped in the others.  A
+    first-row child gets the same verdict from its `_profile_ranks`, which
+    the census passes, as from its `distance_profiles`."""
     tally = collections.Counter()
     for row, (new, picks, gadget) in enumerate(catalog.MOVES):
         for order in range(4, 15 - new, 2):
             for parent, automorphisms in catalog._census(order):
-                for child in catalog._children(parent, automorphisms, new,
-                                               picks, gadget):
+                children = list(catalog._children(parent, automorphisms, new,
+                                                  picks, gadget))
+                ranks = [None] * len(children) if row else \
+                    catalog._profile_ranks(children)
+                for child, keys in zip(children, ranks):
                     profiles = None if row else distance_profiles(child)
                     verdict = catalog._made_elsewhere(child, profiles)
                     assert verdict == \
                         reference_made_elsewhere(child, profiles), child
+                    assert catalog._made_elsewhere(child, keys) == verdict
                     tally[row > 0, verdict] += 1
     assert tally == {(False, False): 647, (False, True): 4892,
                      (True, False): 7, (True, True): 120}
+
+
+def dense_ranks(profiles):
+    """Each profile's index among the distinct profiles, sorted."""
+    rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
+    return [rank[p] for p in profiles]
+
+
+def as_child(g):
+    return catalog._Child(g.n, list(g.bits), sorted(g.edges))
+
+
+def test_profile_ranks_match_distance_profiles():
+    """`_profile_ranks` gives each vertex its profile's dense rank among
+    its graph's `distance_profiles`, in batches of 97, which mix parents and
+    fixtures, and one graph at a time.  The graphs are every first-row child
+    of a build through order 14, the cubic fixtures of orders 4-14, and a
+    relabelled `permutation_prism(32, (1, 3))`, whose 64 vertices fill the
+    uint64 masks."""
+    new, picks, gadget = catalog.MOVES[0]
+    by_order = collections.defaultdict(list)
+    for order in range(4, 15 - new, 2):
+        for parent, automorphisms in catalog._census(order):
+            by_order[order + new] += catalog._children(
+                parent, automorphisms, new, picks, gadget)
+    for order in range(4, 15, 2):
+        by_order[order] += map(as_child, load_catalog(order))
+    prism = permuted_copy(random.Random(40), permutation_prism(32, (1, 3)))
+    by_order[64].append(as_child(prism))
+    for graphs in by_order.values():
+        expected = [dense_ranks(distance_profiles(g)) for g in graphs]
+        for size in (97, 1):
+            got = [ranks for i in range(0, len(graphs), size)
+                   for ranks in catalog._profile_ranks(graphs[i:i + size])]
+            assert got == expected
+    assert max(dense_ranks(distance_profiles(prism))) > 0
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_batch_size_leaves_the_census_alone(monkeypatch, batch):
+    """A cold order-12 census in batches of 1 or 7 children lists the same
+    members with the same automorphisms as one in batches of `_BATCH`."""
+    catalog._census.cache_clear()
+    try:
+        default = catalog._census(12)
+        catalog._census.cache_clear()
+        monkeypatch.setattr(catalog, "_BATCH", batch)
+        assert catalog._census(12) == default
+    finally:
+        catalog._census.cache_clear()
