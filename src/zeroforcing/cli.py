@@ -37,6 +37,17 @@ def _vertex_list(text: str) -> list:
             f"expected comma-separated vertex ids, got {text!r}") from None
 
 
+def _budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return budget
+
+
 def _int(token: str, usage: str) -> int:
     try:
         return int(token)
@@ -163,63 +174,78 @@ def _census(args, line, g):
     return "\t".join(row), report.upper is not None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zeroforcing",
-        description="zero forcing numbers, cubic families, and nullity bounds")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Flags as (name, add_argument keywords); an unset default is None.
+_IN = ("--in", {"dest": "infile",
+                "help": "input file of graph6 records (default stdin)"})
+_OUT = ("--out", {"dest": "outfile", "help": "output file (default stdout)"})
+_BUDGET = ("--budget", {"type": _budget,
+                        "help": "largest witness size the solver may try"})
 
-    def record_command(name, run, help, formats=None, budget=False, sep=""):
-        # sep is printed between two output records; only subcommands that
-        # read --format or --budget get them
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run, sep=sep)
-        p.add_argument("--in", dest="infile", default=None,
-                       help="input file of graph6 records (default stdin)")
-        p.add_argument("--out", dest="outfile", default=None,
-                       help="output file (default stdout)")
-        if formats:
-            p.add_argument("--format", choices=formats, default=formats[0])
-        if budget:
-            p.add_argument("--budget", type=int, default=None,
-                           help="largest witness size the solver may try")
-        return p
 
-    p = sub.add_parser("gen", help="emit generated graphs as graph6")
-    p.add_argument("spec", nargs="*", help="heawood | cex16 | necklace B | "
-                   "prism N [sigma=i,j] | family t=T m=M n1,..,nT")
-    p.add_argument("--order", type=int, default=None,
-                   help="with `family`: emit every member of this order")
-    p.add_argument("--out", dest="outfile", default=None)
+def _format(*choices):
+    return ("--format", {"choices": choices, "default": choices[0]})
 
-    p = record_command("closure", _closure, "derived coloring of an initial set")
-    p.add_argument("--black", type=_vertex_list, default="",
-                   help="initial black set, e.g. 0,1,2")
-    record_command("zf", _zf, "exact zero forcing number", formats=("text", "tsv"),
-                   budget=True)
-    record_command("bounds", _bounds, "maximum-nullity sandwich report",
-                   budget=True, sep="\n")
-    record_command("recognize", _recognize, "zero-forcing-number-3 membership")
-    p = record_command("spantree", _spantree, "layered spanning tree",
-                       formats=("text", "graph6"))
-    p.add_argument("--root", type=int, default=0)
-    record_command("census", _census, "TSV invariants over a graph6 stream",
-                   budget=True)
+
+# name -> (record function, help line, separator printed between two output
+# records, flags it reads); gen has no record function, main runs it apart
+COMMANDS = {
+    "gen": (None, "emit generated graphs as graph6", "", (
+        ("spec", {"nargs": "*", "help": "heawood | cex16 | necklace B | "
+                  "prism N [sigma=i,j] | family t=T m=M n1,..,nT"}),
+        ("--order", {"type": int,
+                     "help": "with `family`: emit every member of this order"}),
+        ("--out", {"dest": "outfile"}))),
+    "closure": (_closure, "derived coloring of an initial set", "", (
+        _IN, _OUT, ("--black", {"type": _vertex_list, "default": "",
+                                "help": "initial black set, e.g. 0,1,2"}))),
+    "zf": (_zf, "exact zero forcing number", "",
+           (_IN, _OUT, _format("text", "tsv"), _BUDGET)),
+    "bounds": (_bounds, "maximum-nullity sandwich report", "\n",
+               (_IN, _OUT, _BUDGET)),
+    "recognize": (_recognize, "zero-forcing-number-3 membership", "", (_IN, _OUT)),
+    "spantree": (_spantree, "layered spanning tree", "", (
+        _IN, _OUT, _format("text", "graph6"), ("--root", {"type": int, "default": 0}))),
+    "census": (_census, "TSV invariants over a graph6 stream", "",
+               (_IN, _OUT, _BUDGET)),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of one subcommand, whose prog is `zeroforcing <command>`;
+    with no command, the full tree, whose help and errors list them all."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"zeroforcing {command}")
+        parsers = [(command, parser)]
+    else:
+        parser = argparse.ArgumentParser(
+            prog="zeroforcing",
+            description="zero forcing numbers, cubic families, and nullity bounds")
+        sub = parser.add_subparsers(dest="command", required=True)
+        parsers = [(name, sub.add_parser(name, help=help))
+                   for name, (_, help, _, _) in COMMANDS.items()]
+    for name, p in parsers:
+        for flag, keywords in COMMANDS[name][3]:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "gen" and args.order is not None and args.spec != ["family"]:
-        parser.error("gen: --order takes `family` and no block spec")
+    argv = sys.argv[1:] if argv is None else argv
+    # a call that names its subcommand builds that subcommand's parser alone
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    parser = build_parser(command)
+    args = parser.parse_args(argv[1:] if command else argv)
+    command = command or args.command
+    run, _, sep_between, _ = COMMANDS[command]
+    if command == "gen" and args.order is not None and args.spec != ["family"]:
+        parser.error("--order takes `family` and no block spec")
     try:
         with contextlib.ExitStack() as files:
             infile = getattr(args, "infile", None)
             instream = files.enter_context(open(infile)) if infile else sys.stdin
             out = files.enter_context(open(args.outfile, "w")) if args.outfile \
                 else sys.stdout
-            if args.command == "gen":
+            if command == "gen":
                 for g in _gen_graphs(args.spec, args.order):
                     print(write_graph6(g), file=out)
                 return 0
@@ -230,13 +256,13 @@ def main(argv=None) -> int:
                 if not line:
                     continue
                 try:
-                    text, ok = args.run(args, line, parse_graph6(line))
+                    text, ok = run(args, line, parse_graph6(line))
                 except (ValueError, RuntimeError) as exc:
                     print(f"line {ln}: {exc}", file=sys.stderr)
                     status = 1
                     continue
                 print(sep + text, file=out)
-                sep = args.sep
+                sep = sep_between
                 if not ok:
                     status = 1
             return status

@@ -1,7 +1,9 @@
 """Command-line behavior: record formats, pipes, error handling, exit codes."""
 
+import argparse
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ from zeroforcing import (build_family, canonical_labelling, counterexample16,
                          heawood_graph, necklace, parse_graph6,
                          permutation_prism, recognize_z3, write_graph6,
                          zero_forcing_number)
-from zeroforcing.cli import main
+from zeroforcing.cli import COMMANDS, main
 
 
 # the subprocess runs the package these tests import, wherever it was found
@@ -278,6 +280,82 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(argv):
     assert code == 2
     assert out == ""
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
+@pytest.mark.parametrize("command", ["zf", "bounds", "census"])
+def test_negative_budget_is_a_usage_error(command):
+    code, out, err = run_cli([command, "--budget=-1"], stdin="C~\n")
+    assert (code, out) == (2, "")
+    assert "argument --budget: expected a non-negative integer, got '-1'" in err
+    # a budget of 0 is allowed, and exhausted on every graph
+    code, out, err = run_cli([command, "--budget", "0"], stdin="C~\n")
+    assert (code, err) == (1, "")
+    assert out == {"zf": "C~  Z>=3  witness=-\n",
+                   "bounds": "graph6: C~\nL: 3 [eigenvalue=3 twin=0]\n"
+                             "U: unknown (>= 3)\nwitness: -\nverdict: M in [3,?]\n",
+                   "census": "C~\t4\t1\t3\t>=3\t3\t0\t-\tM in [3,?]\n"}[command]
+
+
+@pytest.mark.parametrize("argv", [["zf"], ["census", "--budget", "4"]],
+                         ids=lambda argv: argv[0])
+def test_a_named_subcommand_builds_one_parser(argv, monkeypatch, capsys, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    path = tmp_path / "k4.g6"
+    path.write_text("C~\n")
+    assert main([*argv, "--in", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("C~")
+    assert built == [f"zeroforcing {argv[0]}"]
+
+
+TOP_LEVEL_HELP = """\
+usage: zeroforcing [-h] {gen,closure,zf,bounds,recognize,spantree,census} ...
+
+zero forcing numbers, cubic families, and nullity bounds
+
+positional arguments:
+  {gen,closure,zf,bounds,recognize,spantree,census}
+    gen                 emit generated graphs as graph6
+    closure             derived coloring of an initial set
+    zf                  exact zero forcing number
+    bounds              maximum-nullity sandwich report
+    recognize           zero-forcing-number-3 membership
+    spantree            layered spanning tree
+    census              TSV invariants over a graph6 stream
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+# the flags each subcommand reads, besides -h
+FLAGS = {"gen": ["--order", "--out"], "closure": ["--in", "--out", "--black"],
+         "zf": ["--in", "--out", "--format", "--budget"],
+         "bounds": ["--in", "--out", "--budget"], "recognize": ["--in", "--out"],
+         "spantree": ["--in", "--out", "--format", "--root"],
+         "census": ["--in", "--out", "--budget"]}
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")     # argparse wraps to the terminal
+    with pytest.raises(SystemExit) as exit_:
+        main(["-h"] if command is None else [command, "-h"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    if command is None:
+        assert out == TOP_LEVEL_HELP
+        assert list(FLAGS) == list(COMMANDS)
+        return
+    assert out.startswith(f"usage: zeroforcing {command} ")
+    options = out[out.index("\noptions:\n"):]
+    assert re.findall(r"^  (-h, --help|--\w+)", options, re.M) == \
+        ["-h, --help", *FLAGS[command]]
 
 
 def test_malformed_input_exits_one(tmp_path):
